@@ -4,7 +4,8 @@ encode/decode files, and run the extractor/condenser bridge.
 
 All randomness flows from the recorded --seed; reruns with the same
 config produce byte-identical output files.  Exit codes: 0 pass,
-2 verification or decoding failure, 3 infeasible parameters, 4 I/O.
+2 verification or decoding failure, 3 infeasible parameters, 4 I/O or
+malformed input.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -34,8 +34,27 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 
+class InputError(Exception):
+    """Malformed input: a manifest key that is missing, a bad integer list."""
+
+
+class _Manifest(dict):
+    """A JSON object whose missing keys are input errors, not KeyErrors."""
+
+    def __missing__(self, key):
+        raise InputError(f"manifest has no key {key!r}")
+
+
 def _frac(s: str) -> Fraction:
     return Fraction(s)
+
+
+def _ints(text: str) -> list[int]:
+    """Comma-separated integers; the empty string is the empty list."""
+    try:
+        return [int(x) for x in text.split(",")] if text else []
+    except ValueError:
+        raise InputError(f"not a comma-separated integer list: {text!r}") from None
 
 
 def _write_json(path: str, obj) -> None:
@@ -44,9 +63,26 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+def _report(path: str | None, obj) -> None:
+    """Write a report to `path`, or to stdout when no path is given."""
+    if path:
+        _write_json(path, obj)
+    else:
+        json.dump(obj, sys.stdout, indent=1, sort_keys=True)
+        print()
+
+
+def _error(exc: Exception, rc: int) -> int:
+    """Print an error as one JSON line and return the exit code."""
+    json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stdout,
+              sort_keys=True)
+    print()
+    return rc
+
+
 def _read_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, object_hook=_Manifest)
 
 
 # ----------------------------------------------------------------------
@@ -167,11 +203,7 @@ def cmd_build_family(a) -> int:
 
 
 def cmd_verify_family(a) -> int:
-    man = _read_json(a.manifest)
-    if man.get("kind") == "family":
-        fam = ens.family_from_manifest(man["family"])
-    else:
-        fam = ens.family_from_manifest(man)
+    fam = ens.family_from_manifest(_read_json(a.manifest))
     rep = ens.verify_family(fam, mode=a.mode, budget=a.budget, rng_seed=a.seed)
     out = {
         "mode": rep.mode,
@@ -182,111 +214,80 @@ def cmd_verify_family(a) -> int:
         "passed": rep.passed,
         "rng_seed": rep.rng_seed,
     }
-    if a.out:
-        _write_json(a.out, out)
-    else:
-        json.dump(out, sys.stdout, indent=1, sort_keys=True)
-        print()
+    _report(a.out, out)
     return EXIT_PASS if rep.passed else EXIT_VERIFY_FAIL
 
 
 def cmd_build_graph(a) -> int:
     if a.kind == "bipartite":
-        code = gc.build_bipartite(a.q, a.M, a.N, a.drow, a.dcol, a.eta,
-                                  rng_seed=a.seed, ell=a.ell, ell0=a.ell0,
-                                  k_row=a.k_row, family_size=a.family_size,
-                                  eps_fam=a.eps_fam)
-        man = {"kind": "bipartite",
-               "params": {"q": a.q, "M": a.M, "N": a.N,
-                          "delta_row": str(Fraction(a.drow)),
-                          "delta_col": str(Fraction(a.dcol)),
-                          "eta": str(Fraction(a.eta)), "rng_seed": a.seed,
-                          "ell": a.ell, "ell0": a.ell0, "k_row": a.k_row,
-                          "family_size": a.family_size,
-                          "eps_fam": str(Fraction(a.eps_fam))},
-               "rate": str(code.rate),
-               "capacity_bound": str((1 - Fraction(a.drow)) * (1 - Fraction(a.dcol)))}
+        params = {"q": a.q, "M": a.M, "N": a.N,
+                  "delta_row": str(Fraction(a.drow)),
+                  "delta_col": str(Fraction(a.dcol)),
+                  "eta": str(Fraction(a.eta)), "rng_seed": a.seed,
+                  "ell": a.ell, "ell0": a.ell0, "k_row": a.k_row,
+                  "family_size": a.family_size,
+                  "eps_fam": str(Fraction(a.eps_fam))}
+        bounds = {"capacity_bound": str((1 - Fraction(a.drow)) * (1 - Fraction(a.dcol)))}
     elif a.kind == "nearly-mds":
-        code = gc.build_nearly_mds(a.q, a.N, a.delta, a.eta, M=a.M,
-                                   rng_seed=a.seed, ell=a.ell, ell0=a.ell0,
-                                   k_row=a.k_row, eps_fam=a.eps_fam)
-        man = {"kind": "nearly-mds",
-               "params": {"q": a.q, "N": a.N, "M": a.M,
-                          "delta": str(Fraction(a.delta)),
-                          "eta": str(Fraction(a.eta)), "rng_seed": a.seed,
-                          "ell": a.ell, "ell0": a.ell0, "k_row": a.k_row,
-                          "eps_fam": str(Fraction(a.eps_fam))},
-               "rate": str(code.rate),
-               "singleton_bound": str(1 - Fraction(a.delta))}
+        params = {"q": a.q, "N": a.N, "M": a.M,
+                  "delta": str(Fraction(a.delta)),
+                  "eta": str(Fraction(a.eta)), "rng_seed": a.seed,
+                  "ell": a.ell, "ell0": a.ell0, "k_row": a.k_row,
+                  "eps_fam": str(Fraction(a.eps_fam))}
+        bounds = {"singleton_bound": str(1 - Fraction(a.delta))}
     elif a.kind == "nearly-mds-improved":
-        code = gc.build_nearly_mds_improved(a.q, a.N, a.delta, a.eta,
-                                            M_b=a.M_b, D=a.D, rng_seed=a.seed)
-        man = {"kind": "nearly-mds-improved",
-               "params": {"q": a.q, "N": a.N, "M_b": a.M_b, "D": a.D,
-                          "delta": str(Fraction(a.delta)),
-                          "eta": str(Fraction(a.eta)), "rng_seed": a.seed},
-               "rate": str(code.rate),
-               "singleton_bound": str(1 - Fraction(a.delta))}
+        params = {"q": a.q, "N": a.N, "M_b": a.M_b, "D": a.D,
+                  "delta": str(Fraction(a.delta)),
+                  "eta": str(Fraction(a.eta)), "rng_seed": a.seed}
+        bounds = {"singleton_bound": str(1 - Fraction(a.delta))}
     else:  # symmetric
-        man = {"kind": "symmetric",
-               "params": {"q": a.q, "n": a.n, "ell": a.ell,
-                          "delta_prime": str(Fraction(a.dprime)),
-                          "D_in": a.D_in, "eta": str(Fraction(a.eta)),
-                          "rng_seed": a.seed, "inner_ell0": a.inner_ell0,
-                          "inner_k_row": a.inner_k_row,
-                          "eps_fam": str(Fraction(a.eps_fam))}}
-        code = _rebuild(man)
-        man["rate"] = str(code.rate)
-        man["delta"] = str(Fraction(a.dprime) ** 2)
+        params = {"q": a.q, "n": a.n, "ell": a.ell,
+                  "delta_prime": str(Fraction(a.dprime)),
+                  "D_in": a.D_in, "eta": str(Fraction(a.eta)),
+                  "rng_seed": a.seed, "inner_ell0": a.inner_ell0,
+                  "inner_k_row": a.inner_k_row,
+                  "eps_fam": str(Fraction(a.eps_fam))}
+        bounds = {"delta": str(Fraction(a.dprime) ** 2)}
+    # the code is built from the manifest, exactly as later commands rebuild it
+    man = {"kind": a.kind, "params": params, **bounds}
+    man["rate"] = str(_rebuild(man).rate)
     _write_json(a.out, man)
     return EXIT_PASS
+
+
+def _graph_patterns(kind: str, code, delta: Fraction):
+    """A graph code's erasure units and the pattern axes verify-graph scans:
+    rows with columns, up to delta*N vertices, or delta*N column symbols."""
+    if kind == "bipartite":
+        s = math.floor(code.delta_row * code.M)
+        t = math.floor(code.delta_col * code.N)
+        return code.unit_code, [(code.M, s, s), (code.N, t, t)]
+    if kind == "symmetric":
+        return code.unit_code, [(code.N, 0, math.floor(delta * code.N))]
+    if kind in ("nearly-mds", "nearly-mds-improved"):
+        f = math.floor(delta * code.N)
+        return code.unit_code, [(code.N, f, f)]
+    raise InputError(f"manifest kind {kind!r} is not a graph code")
 
 
 def cmd_verify_graph(a) -> int:
     man = _read_json(a.code)
     code = _rebuild(man)
-    delta = Fraction(a.delta) if a.delta else Fraction(man.get("delta", "0"))
+    delta = Fraction(a.delta or man.get("delta") or man["params"].get("delta", "0"))
+    units, axes = _graph_patterns(man["kind"], code, delta)
+    rep = ens.verify_units(units, axes, a.mode, a.budget, a.seed)
+    witness = ens.split_pattern(rep.worst_pattern, axes)
+    out = {"passed": rep.passed, "patterns_tested": rep.patterns_tested,
+           "witness": witness if len(witness) > 1 else witness[0],
+           "mode": rep.mode}
+    # symmetric reports carry the seed and an empty witness on a pass;
+    # the other kinds have no seed and a null witness
     if man["kind"] == "symmetric":
-        rep = sym.verify_graph(code, delta, mode=a.mode, budget=a.budget,
-                               rng_seed=a.seed)
-        out = {"passed": rep.passed, "patterns_tested": rep.patterns_tested,
-               "witness": list(rep.worst_pattern), "mode": rep.mode,
-               "rng_seed": rep.rng_seed}
-        passed = rep.passed
-    elif man["kind"] in ("nearly-mds", "nearly-mds-improved"):
-        f = math.floor(delta * code.N)
-        witness = None
-        tested = 0
-        for T in combinations(range(code.N), f):
-            tested += 1
-            if not code.corrects_columns(T):
-                witness = list(T)
-                break
-        out = {"passed": witness is None, "patterns_tested": tested,
-               "witness": witness, "mode": "exhaustive"}
-        passed = witness is None
-    else:  # bipartite
-        smax = math.floor(code.delta_row * code.M)
-        tmax = math.floor(code.delta_col * code.N)
-        witness = None
-        tested = 0
-        for S in combinations(range(code.M), smax):
-            for T in combinations(range(code.N), tmax):
-                tested += 1
-                if not code.corrects(S, T):
-                    witness = [list(S), list(T)]
-                    break
-            if witness:
-                break
-        out = {"passed": witness is None, "patterns_tested": tested,
-               "witness": witness, "mode": "exhaustive"}
-        passed = witness is None
-    if a.out:
-        _write_json(a.out, out)
-    else:
-        json.dump(out, sys.stdout, indent=1, sort_keys=True)
-        print()
-    return EXIT_PASS if passed else EXIT_VERIFY_FAIL
+        out["rng_seed"] = rep.rng_seed
+    elif rep.passed:
+        out["witness"] = None
+    _report(a.out, out)
+    return EXIT_PASS if rep.passed else EXIT_VERIFY_FAIL
 
 
 def cmd_encode(a) -> int:
@@ -313,36 +314,27 @@ def cmd_decode(a) -> int:
     man = _read_json(a.code)
     code = _rebuild(man)
     rows = read_matrix_file(a.infile)
+    erased_rows, erased_cols = _ints(a.erased_rows), _ints(a.erased_cols)
     try:
         if man["kind"] == "family":
             msg = fc.decode_member(code, a.z, a.member, rows[0])
             write_matrix_file(a.out, code.q_spec, [list(msg)])
         elif man["kind"] == "bipartite":
-            S = [int(x) for x in a.erased_rows.split(",")] if a.erased_rows else []
-            T = [int(x) for x in a.erased_cols.split(",")] if a.erased_cols else []
-            msg = code.decode_matrix(rows, S=S, T=T)
+            msg = code.decode_matrix(rows, S=erased_rows, T=erased_cols)
             write_matrix_file(a.out, code.q_spec, [list(msg)])
         elif man["kind"] in ("nearly-mds", "nearly-mds-improved"):
-            T = [int(x) for x in a.erased_cols.split(",")] if a.erased_cols else []
-            msg = code.decode_columns(rows, T=T)
+            msg = code.decode_columns(rows, T=erased_cols)
             write_matrix_file(a.out, code.q_spec, [list(msg)])
         else:
-            E = [int(x) for x in a.erased_rows.split(",")] if a.erased_rows else []
-            F = [int(x) for x in a.erased_cols.split(",")] if a.erased_cols else []
-            msg = sym.decode_graph(code, rows, E, F)
+            msg = sym.decode_graph(code, rows, erased_rows, erased_cols)
             write_matrix_file(a.out, code.spec, [list(msg)])
     except cd.DecodingFailure as exc:
-        json.dump({"error": "DecodingFailure", "detail": str(exc)},
-                  sys.stdout, sort_keys=True)
-        print()
-        return EXIT_VERIFY_FAIL
+        return _error(exc, EXIT_VERIFY_FAIL)
     return EXIT_PASS
 
 
 def cmd_bridge(a) -> int:
-    man = _read_json(a.family)
-    fam_man = man["family"] if man.get("kind") == "family" else man
-    fam = ens.family_from_manifest(fam_man)
+    fam = ens.family_from_manifest(_read_json(a.family))
     if a.role == "extractor":
         lsm = br.family_to_extractor(fam)
     else:
@@ -364,7 +356,7 @@ def cmd_check_source(a) -> int:
     spec = make_field(man["field"]["p"], man["field"]["m"])
     lsm = br.LinearSeededMap(spec, [np.array(G, dtype=np.int64)
                                     for G in man["maps"]])
-    free = [int(x) for x in a.free.split(",")] if a.free else []
+    free = _ints(a.free)
     if man["role"] == "extractor":
         res = br.extractor_error_on_source(lsm, free)
         out = {"role": "extractor", "free": free,
@@ -378,11 +370,7 @@ def cmd_check_source(a) -> int:
                "failing_fraction": str(res["failing_fraction"])}
         passed = res["failing_fraction"] <= Fraction(a.epsilon)
     out["passed"] = passed
-    if a.out:
-        _write_json(a.out, out)
-    else:
-        json.dump(out, sys.stdout, indent=1, sort_keys=True)
-        print()
+    _report(a.out, out)
     return EXIT_PASS if passed else EXIT_VERIFY_FAIL
 
 
@@ -521,18 +509,12 @@ def main(argv=None) -> int:
     a = ap.parse_args(argv)
     try:
         return a.func(a)
-    except (OSError, json.JSONDecodeError) as exc:
-        json.dump({"error": type(exc).__name__, "detail": str(exc)},
-                  sys.stdout, sort_keys=True)
-        print()
-        return EXIT_IO
+    except (OSError, json.JSONDecodeError, InputError) as exc:
+        return _error(exc, EXIT_IO)
     except ValueError as exc:
         # InfeasibleAtDeskScale, SearchExhausted, and every other
         # parameter-level error in the library subclasses ValueError.
-        json.dump({"error": type(exc).__name__, "detail": str(exc)},
-                  sys.stdout, sort_keys=True)
-        print()
-        return EXIT_INFEASIBLE
+        return _error(exc, EXIT_INFEASIBLE)
 
 
 if __name__ == "__main__":

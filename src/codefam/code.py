@@ -12,6 +12,7 @@ Positions and erasure patterns are 0-based throughout the library.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -48,6 +49,10 @@ class Infeasible(CodeError):
     pass
 
 
+class InfeasibleAtDeskScale(ValueError):
+    """A construction's parameters cannot be met at the sizes this library runs."""
+
+
 class DecodingFailure(Exception):
     pass
 
@@ -74,12 +79,57 @@ class ErasurePattern:
         return f"ErasurePattern(n={self.n}, erased={sorted(self.erased)})"
 
 
-def _as_erased(C, pat) -> frozenset:
-    if isinstance(pat, ErasurePattern):
-        if pat.n != C.n:
-            raise LengthMismatch(f"pattern length {pat.n} != code length {C.n}")
-        return pat.erased
-    return ErasurePattern(C.n, pat).erased
+class UnitCode:
+    """A generator whose cells (columns) group into erasable units.
+
+    units[u] is the bitmask of the cells that erasing unit u erases: a
+    position of a LinearCode, a row or column of a graph code, a column
+    symbol, a vertex.  A set of erased units is correctable iff G
+    restricted to the surviving cells keeps rank `dim` (default: the row
+    count of G).
+    """
+
+    def __init__(self, spec: FieldSpec, G: np.ndarray, units: list[int],
+                 dim: int | None = None):
+        self.spec = spec
+        self.G = G
+        self.units = units
+        self.dim = G.shape[0] if dim is None else dim
+
+    @cached_property
+    def _packed(self) -> list[int]:
+        """GF(2) rows packed into ints, once: erasing cells is one AND per row."""
+        return mx.pack_rows(self.G)
+
+    def corrects(self, erased) -> bool:
+        mask = 0
+        for u in erased:
+            if not 0 <= u < len(self.units):
+                raise CodeError(f"erased unit {u} out of range for {len(self.units)} units")
+            mask |= self.units[u]
+        n = self.G.shape[1]
+        if n - mask.bit_count() < self.dim:
+            return False
+        if self.spec.q == 2:
+            keep = ~mask
+            return mx.rank_packed([r & keep for r in self._packed]) == self.dim
+        surv = [c for c in range(n) if not mask >> c & 1]
+        return mx.rank(self.spec, self.G[:, surv]) == self.dim
+
+
+def grid_units(rows: int, cols: int, block: int = 1) -> list[int]:
+    """Units of a row-major rows x cols cell grid: the row units, then the
+    column units, each unit `block` consecutive rows or columns."""
+    row_unit = (1 << (cols * block)) - 1
+    col_unit = sum(((1 << block) - 1) << (r * cols) for r in range(rows))
+    return ([row_unit << (u * block * cols) for u in range(rows // block)]
+            + [col_unit << (u * block) for u in range(cols // block)])
+
+
+def unit_generator(encode_fn, k: int) -> np.ndarray:
+    """Generator whose row r is the flattened encoding of unit message e_r."""
+    return np.stack([np.asarray(encode_fn(e)).reshape(-1)
+                     for e in np.eye(k, dtype=np.int64)])
 
 
 class LinearCode:
@@ -96,16 +146,11 @@ class LinearCode:
         self.k = k
         self.n = n
         self.G = G
-        self._packed = None  # GF(2) bit-packed rows, built lazily
+        self.unit_code = UnitCode(spec, G, [1 << i for i in range(n)])
 
     @property
     def rate(self) -> Fraction:
         return Fraction(self.k, self.n)
-
-    def _packed_rows(self):
-        if self._packed is None:
-            self._packed = mx.pack_rows(self.G)
-        return self._packed
 
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}] over GF({self.spec.p}^{self.spec.m}))"
@@ -120,20 +165,11 @@ def encode(C: LinearCode, msg) -> np.ndarray:
 
 def corrects_pattern(C: LinearCode, pat) -> bool:
     """True iff the generator restricted to surviving columns has rank k."""
-    erased = _as_erased(C, pat)
-    if not erased:
-        return True
-    if C.n - len(erased) < C.k:
-        return False
-    spec = C.spec
-    if spec.p == 2 and spec.m == 1:
-        mask = 0
-        for e in erased:
-            mask |= 1 << e
-        keep = ~mask
-        return mx.rank_packed([r & keep for r in C._packed_rows()]) == C.k
-    surv = [i for i in range(C.n) if i not in erased]
-    return mx.rank(spec, C.G[:, surv]) == C.k
+    if isinstance(pat, ErasurePattern):
+        if pat.n != C.n:
+            raise LengthMismatch(f"pattern length {pat.n} != code length {C.n}")
+        pat = pat.erased
+    return C.unit_code.corrects(pat)
 
 
 def erasure_decode(C: LinearCode, received):
@@ -300,18 +336,12 @@ def concatenate(outer: LinearCode, inner: LinearCode) -> LinearCode:
     if inner.spec.m != 1:
         raise DimensionMismatch("concatenation requires a prime inner alphabet")
     q = inner.spec
-    k_total = outer.k * ell
-    G = np.zeros((k_total, outer.n * inner.n), dtype=np.int64)
-    for i in range(outer.k):
-        for t in range(ell):
-            # outer message = e_i times the t-th digit basis element of F_Q
-            msg = np.zeros(outer.k, dtype=np.int64)
-            msg[i] = outer.spec.p ** t
-            cw = encode(outer, msg)
-            inner_syms = split_symbols(outer.spec, q, cw).reshape(outer.n, ell)
-            for b in range(outer.n):
-                G[i * ell + t, b * inner.n:(b + 1) * inner.n] = encode(inner, inner_syms[b])
-    return LinearCode(q, G)
+
+    def encode_concatenated(msg):
+        cw = encode(outer, join_symbols(outer.spec, q, msg))
+        syms = split_symbols(outer.spec, q, cw).reshape(outer.n, ell)
+        return np.concatenate([encode(inner, s) for s in syms])
+    return LinearCode(q, unit_generator(encode_concatenated, outer.k * ell))
 
 
 def expand_code(C: LinearCode, sub: FieldSpec) -> LinearCode:
@@ -346,13 +376,8 @@ class TensorCode:
 
     def basis(self) -> np.ndarray:
         """(k1*k2, n1*n2) generator; row (i*k2+j) encodes unit message e_ij."""
-        out = np.zeros((self.k, self.shape[0] * self.shape[1]), dtype=np.int64)
-        for i in range(self.C1.k):
-            for j in range(self.C2.k):
-                m = np.zeros((self.C1.k, self.C2.k), dtype=np.int64)
-                m[i, j] = 1
-                out[i * self.C2.k + j] = self.encode(m).reshape(-1)
-        return out
+        return unit_generator(
+            lambda e: self.encode(e.reshape(self.C1.k, self.C2.k)), self.k)
 
 
 def tensor(C1: LinearCode, C2: LinearCode) -> TensorCode:

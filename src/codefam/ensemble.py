@@ -13,14 +13,16 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import LinearCode, corrects_pattern, code_to_text, code_from_text
+from codefam.code import (LinearCode, UnitCode, corrects_pattern, code_to_text,
+                          code_from_text)
 from codefam.gf import FieldSpec, make_field
 
 
@@ -80,7 +82,8 @@ class ErasureFamily:
 
 
 @dataclass
-class FamilyReport:
+class VerifyReport:
+    """Outcome of a pattern scan; a graph code's fail fraction is 0 or 1."""
     worst_fail_fraction: Fraction
     worst_pattern: tuple
     patterns_tested: int
@@ -88,6 +91,77 @@ class FamilyReport:
     rng_seed: int | None = None
     passed: bool = False
     notes: dict = field(default_factory=dict)
+
+
+def _patterns(axes, sizes, start: int = 0):
+    """Patterns with sizes[i] units on axis i, in lexicographic order."""
+    if not axes:
+        yield ()
+        return
+    n = axes[0][0]
+    for head in combinations(range(start, start + n), sizes[0]):
+        for tail in _patterns(axes[1:], sizes[1:], start + n):
+            yield head + tail
+
+
+def split_pattern(pat, axes) -> list[list[int]]:
+    """The units a pattern erases on each axis, numbered from 0 per axis."""
+    starts = accumulate((n for n, _, _ in axes), initial=0)
+    return [[u - s for u in pat if s <= u < s + n] for (n, _, _), s in zip(axes, starts)]
+
+
+def scan_patterns(axes, fail_fraction, mode: str = "exhaustive",
+                  budget: int = 10 ** 7, rng_seed: int | None = None, *,
+                  cost: int = 1, stop_at_failure: bool = False):
+    """(worst fail fraction, smallest pattern reaching it, patterns tested).
+
+    Each axis (n, lo, hi) is one kind of erasure unit; a pattern erases lo
+    to hi of its n units, numbered after those of the earlier axes, and is
+    one sorted tuple.  Exhaustive mode walks the patterns by size, then in
+    lexicographic order, within `budget` rank checks (`cost` per pattern);
+    it starts from the empty pattern at fraction 0, so with no failures it
+    names none.  Monte Carlo mode draws `budget` patterns of the largest
+    sizes.  stop_at_failure ends the scan at the first failing pattern.
+    """
+    if mode == "exhaustive":
+        count = math.prod(sum(math.comb(n, s) for s in range(lo, hi + 1))
+                          for n, lo, hi in axes) * cost
+        if count > budget:
+            raise BudgetExceeded(f"{count} rank checks exceed budget {budget}")
+        pats = (pat for sizes in product(*(range(lo, hi + 1) for _, lo, hi in axes))
+                for pat in _patterns(axes, sizes))
+        witness = ()
+    elif mode == "montecarlo":
+        if rng_seed is None:
+            raise EnsembleError("montecarlo mode requires rng_seed")
+        rng = random.Random(rng_seed)
+        starts = list(accumulate((n for n, _, _ in axes), initial=0))
+        pats = (tuple(s + u for (n, _, hi), s in zip(axes, starts)
+                      for u in sorted(rng.sample(range(n), hi)))
+                for _ in range(budget))
+        witness = None
+    else:
+        raise EnsembleError(f"unknown mode {mode!r}")
+    worst = Fraction(0)
+    tested = 0
+    for pat in pats:
+        frac = fail_fraction(pat)
+        tested += 1
+        if witness is None or frac > worst or (frac == worst and pat < witness):
+            worst, witness = frac, pat
+        if stop_at_failure and frac:
+            break
+    return worst, witness or (), tested
+
+
+def verify_units(code: UnitCode, axes, mode: str = "exhaustive",
+                 budget: int = 10 ** 5, rng_seed: int | None = None) -> VerifyReport:
+    """The first pattern of the axes that `code` cannot correct, if any."""
+    worst, witness, tested = scan_patterns(
+        axes, lambda pat: 0 if code.corrects(pat) else 1, mode, budget, rng_seed,
+        stop_at_failure=True)
+    return VerifyReport(worst, witness if worst else (), tested, mode, rng_seed,
+                        passed=not worst)
 
 
 def failure_fraction(F: ErasureFamily, pat) -> Fraction:
@@ -101,7 +175,7 @@ def max_pattern_size(F: ErasureFamily) -> int:
 
 
 def verify_family(F: ErasureFamily, mode: str = "exhaustive",
-                  budget: int = 10 ** 7, rng_seed: int | None = None) -> FamilyReport:
+                  budget: int = 10 ** 7, rng_seed: int | None = None) -> VerifyReport:
     """Certify the family property.
 
     Exhaustive mode enumerates every pattern of size exactly floor(delta*n)
@@ -111,38 +185,15 @@ def verify_family(F: ErasureFamily, mode: str = "exhaustive",
     the worst per-pattern failing fraction is <= epsilon.
     """
     s = max_pattern_size(F)
-    worst = Fraction(0)
-    witness: tuple = ()
-    tested = 0
-    if mode == "exhaustive":
-        count = math.comb(F.n, s) * len(F.codes)
-        if count > budget:
-            raise BudgetExceeded(f"{count} rank checks exceed budget {budget}")
-        for pat in combinations(range(F.n), s):
-            frac = failure_fraction(F, pat)
-            tested += 1
-            if frac > worst:
-                worst, witness = frac, pat
-        seed_used = None
-    elif mode == "montecarlo":
-        if rng_seed is None:
-            raise EnsembleError("montecarlo mode requires rng_seed")
-        rng = random.Random(rng_seed)
-        for _ in range(budget):
-            pat = tuple(sorted(rng.sample(range(F.n), s)))
-            frac = failure_fraction(F, pat)
-            tested += 1
-            if frac > worst or (frac == worst and (not witness or pat < witness)):
-                worst, witness = frac, pat
-        seed_used = rng_seed
-    else:
-        raise EnsembleError(f"unknown mode {mode!r}")
-    return FamilyReport(
+    worst, witness, tested = scan_patterns(
+        [(F.n, s, s)], lambda pat: failure_fraction(F, pat), mode, budget,
+        rng_seed, cost=len(F.codes))
+    return VerifyReport(
         worst_fail_fraction=worst,
         worst_pattern=witness,
         patterns_tested=tested,
         mode=mode,
-        rng_seed=seed_used,
+        rng_seed=rng_seed if mode == "montecarlo" else None,
         passed=worst <= F.epsilon,
     )
 
@@ -151,14 +202,40 @@ def existence_params(q: int, delta, eta, epsilon) -> tuple[int, int]:
     """Family size and length thresholds from the random-coding argument.
 
     t_min = ceil(2 / (eta * epsilon * log2 q)),
-    n0    = ceil(2 * log2(e / epsilon) / (eta * log2 q)).
+    n0    = ceil(2 * log2(e / epsilon) / (eta * log2 q)),
+    decided exactly: t_min is the least t with q^(t*a) >= 4^b for eta *
+    epsilon = a/b, n0 the least n with q^(n*c) * epsilon^(2d) >= e^(2d)
+    for eta = c/d.
     """
     eta = Fraction(eta)
     epsilon = Fraction(epsilon)
-    log2q = math.log2(q)
-    t_min = math.ceil(2 / (float(eta) * float(epsilon) * log2q))
-    n0 = math.ceil(2 * math.log2(math.e / float(epsilon)) / (float(eta) * log2q))
+    if q < 2 or eta <= 0 or not 0 < epsilon <= 1:
+        raise EnsembleError("need q >= 2, eta > 0 and 0 < epsilon <= 1")
+    a, b = (eta * epsilon).numerator, (eta * epsilon).denominator
+    c, d = eta.numerator, eta.denominator
+    t_min = _least(lambda t: q ** (t * a) >= 4 ** b)
+    n0 = _least(lambda n: _at_least_e_power(q ** (n * c) * epsilon ** (2 * d), 2 * d))
     return t_min, n0
+
+
+def _least(pred) -> int:
+    """Least n >= 1 with pred(n), for pred false below some n and true from it on."""
+    hi = 1
+    while not pred(hi):
+        hi *= 2
+    return bisect_left(range(hi + 1), True, hi // 2 + 1, key=pred)
+
+
+def _at_least_e_power(x: Fraction, k: int) -> bool:
+    """x >= e^k (k >= 1).  e lies between lo = sum of 1/i! for i <= j and
+    lo + 1/(j! * j); j grows until the bounds decide, which they do as e^k
+    is irrational."""
+    lo, term, j = Fraction(2), Fraction(1), 1
+    while lo ** k <= x < (lo + term / j) ** k:
+        j += 1
+        term /= j
+        lo += term
+    return x >= lo ** k
 
 
 def sample_random_family(spec: FieldSpec, n: int, delta, eta, epsilon,
@@ -292,6 +369,8 @@ def family_to_manifest(F: ErasureFamily, provenance: dict | None = None) -> dict
 
 
 def family_from_manifest(man: dict) -> ErasureFamily:
+    if man.get("kind") == "family":  # a build-family construction manifest
+        man = man["family"]
     codes = [code_from_text(t) for t in man["codes"]]
     return ErasureFamily(codes, Fraction(man["delta"]), Fraction(man["epsilon"]))
 

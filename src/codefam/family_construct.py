@@ -13,26 +13,19 @@ rate exactly R_inner * R_outer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from codefam import matrix as mx
-from codefam.code import (LinearCode, DecodingFailure, encode, erasure_decode,
-                          min_distance, split_symbols, join_symbols,
-                          symbol_digit_map, TooLarge)
+from codefam.code import (LinearCode, DecodingFailure, InfeasibleAtDeskScale,
+                          encode, erasure_decode, min_distance, split_symbols,
+                          join_symbols, symbol_digit_map, unit_generator, TooLarge)
 from codefam.ensemble import ErasureFamily, existence_params
-from codefam.gf import FieldSpec
 from codefam.shuffler import Shuffler
 
 
 class ParamMismatch(ValueError):
-    pass
-
-
-class InfeasibleAtDeskScale(ValueError):
     pass
 
 
@@ -182,12 +175,7 @@ def decode_member(p: ShuffledFamilyParams, z: int, ci: int, received) -> np.ndar
 
 
 def member_generator(p: ShuffledFamilyParams, z: int, ci: int) -> np.ndarray:
-    G = np.zeros((p.k_total, p.N), dtype=np.int64)
-    for r in range(p.k_total):
-        msg = np.zeros(p.k_total, dtype=np.int64)
-        msg[r] = 1
-        G[r] = encode_member(p, z, ci, msg)
-    return G
+    return unit_generator(lambda e: encode_member(p, z, ci, e), p.k_total)
 
 
 def build_family(p: ShuffledFamilyParams) -> ErasureFamily:

@@ -17,7 +17,7 @@ across runs and serialized objects are self-describing.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -72,6 +72,14 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, m) with q = p^m; raises FieldError when q is not a prime power."""
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise FieldError(f"q = {q} is not a prime power")
+    return factors[0], next(m for m in count(1) if factors[0] ** m == q)
 
 
 # ----------------------------------------------------------------------

@@ -21,23 +21,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import (LinearCode, BundledCode, DecodingFailure, bundle,
-                          encode, erasure_decode, reed_solomon)
+from codefam.code import (LinearCode, BundledCode, DecodingFailure,
+                          InfeasibleAtDeskScale, UnitCode, bundle, encode,
+                          erasure_decode, grid_units, reed_solomon, unit_generator)
 from codefam.ensemble import ErasureFamily, verify_family
-from codefam.gf import FieldSpec, make_field
+from codefam.gf import FieldSpec, _prime_power, make_field
 from codefam.shuffler import make_seeded_random
 
 
 class GraphCodeError(ValueError):
-    pass
-
-
-class InfeasibleAtDeskScale(GraphCodeError):
     pass
 
 
@@ -120,7 +117,6 @@ class BipartiteGraphCode:
         self.col_family = col_family
         self.k_total = row.k_total
         self.provenance = dict(provenance or {})
-        self._gen = None
 
     def assignment(self, i: int) -> int:
         """Row i uses column-family code i mod M0 (round-robin repetition)."""
@@ -165,28 +161,19 @@ class BipartiteGraphCode:
                 syms.append(None)
         return self.row.decode_syms(syms)
 
+    @cached_property
+    def unit_code(self) -> UnitCode:
+        """Units 0..M-1 are the rows, M..M+N-1 the columns."""
+        return UnitCode(self.q_spec, unit_generator(self.encode_matrix, self.k_total),
+                        grid_units(self.M, self.N))
+
     def generator(self) -> np.ndarray:
         """(k_total, M*N) generator, row-major cell order; cached."""
-        if self._gen is None:
-            G = np.zeros((self.k_total, self.M * self.N), dtype=np.int64)
-            for rr in range(self.k_total):
-                msg = np.zeros(self.k_total, dtype=np.int64)
-                msg[rr] = 1
-                G[rr] = self.encode_matrix(msg).reshape(-1)
-            self._gen = G
-        return self._gen
+        return self.unit_code.G
 
     def corrects(self, S=(), T=()) -> bool:
         """Rank criterion on the surviving submatrix, no codeword search."""
-        S = frozenset(S)
-        T = frozenset(T)
-        cols = [i * self.N + j for i in range(self.M) if i not in S
-                for j in range(self.N) if j not in T]
-        return mx.rank(self.q_spec, self.generator()[:, cols]) == self.k_total
-
-
-def corrects_bipartite(GC: BipartiteGraphCode, S=(), T=()) -> bool:
-    return GC.corrects(S, T)
+        return self.unit_code.corrects([*S, *(self.M + j for j in T)])
 
 
 def _sample_column_family(q_spec: FieldSpec, N: int, ell: int, size: int,
@@ -256,20 +243,6 @@ def build_bipartite(q: int, M: int, N: int, delta_row, delta_col, eta,
                     "eps_fam": str(eps_fam), "eta": str(eta)})
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                m += 1
-            if t != 1:
-                raise GraphCodeError(f"q = {q} is not a prime power")
-            return p, m
-    raise GraphCodeError(f"bad q = {q}")
-
-
 class RandomMatrixCode:
     """Span of k uniformly random M x N matrices (existence-bound oracle)."""
 
@@ -280,13 +253,10 @@ class RandomMatrixCode:
         self.N = N
         self.G = rng.integers(0, q_spec.q, size=(k, M * N), dtype=np.int64)
         self.dim = mx.rank(q_spec, self.G)
+        self.unit_code = UnitCode(q_spec, self.G, grid_units(M, N), dim=self.dim)
 
     def corrects(self, S=(), T=()) -> bool:
-        S = frozenset(S)
-        T = frozenset(T)
-        cols = [i * self.N + j for i in range(self.M) if i not in S
-                for j in range(self.N) if j not in T]
-        return mx.rank(self.q_spec, self.G[:, cols]) == self.dim
+        return self.unit_code.corrects([*S, *(self.M + j for j in T)])
 
 
 def sample_random_bipartite(q: int, M: int, N: int, rate, rng_seed: int) -> RandomMatrixCode:
@@ -300,7 +270,19 @@ def sample_random_bipartite(q: int, M: int, N: int, rate, rng_seed: int) -> Rand
 # Nearly-MDS codes: delta_row = 0, columns bundled into F_{q^M} symbols.
 # ----------------------------------------------------------------------
 
-class NearlyMDSCode:
+class _ColumnSymbols:
+    """The N columns of an M_rows x N codeword matrix as erasure units."""
+
+    @cached_property
+    def unit_code(self) -> UnitCode:
+        return UnitCode(self.q_spec, self.generator(),
+                        grid_units(self.M_rows, self.N)[self.M_rows:])
+
+    def corrects_columns(self, T=()) -> bool:
+        return self.unit_code.corrects(T)
+
+
+class NearlyMDSCode(_ColumnSymbols):
     """Column-symbol view of an M-row matrix code: alphabet F_Q, Q = q^M."""
 
     def __init__(self, inner, M_rows: int, N: int, delta, eta):
@@ -327,8 +309,8 @@ class NearlyMDSCode:
     def decode_columns(self, received, T=()) -> np.ndarray:
         return self.inner.decode_matrix(received, S=(), T=T)
 
-    def corrects_columns(self, T=()) -> bool:
-        return self.inner.corrects((), T)
+    def generator(self) -> np.ndarray:
+        return self.inner.generator()
 
 
 def build_nearly_mds(q: int, N: int, delta, eta, *, M: int = 4,
@@ -347,7 +329,7 @@ def build_nearly_mds(q: int, N: int, delta, eta, *, M: int = 4,
     return code
 
 
-class ImprovedNearlyMDSCode:
+class ImprovedNearlyMDSCode(_ColumnSymbols):
     """Single-inner-MDS, single-outer-code nearly-MDS construction.
 
     Codewords are D x N matrices over F_q; each row z is partitioned into
@@ -387,7 +369,6 @@ class ImprovedNearlyMDSCode:
         self.sh = make_seeded_random(N, M_b, D, rng_seed)
         self.k_total = k_out * self.ell
         self.M_rows = D
-        self._gen = None
 
     @property
     def rate(self) -> Fraction:
@@ -450,20 +431,7 @@ class ImprovedNearlyMDSCode:
             np.asarray(digits).reshape(self.k_out * self.ell, 1))).reshape(-1)
 
     def generator(self) -> np.ndarray:
-        if self._gen is None:
-            G = np.zeros((self.k_total, self.D * self.N), dtype=np.int64)
-            for rr in range(self.k_total):
-                msg = np.zeros(self.k_total, dtype=np.int64)
-                msg[rr] = 1
-                G[rr] = self.encode_columns(msg).reshape(-1)
-            self._gen = G
-        return self._gen
-
-    def corrects_columns(self, T=()) -> bool:
-        T = frozenset(T)
-        cols = [z * self.N + j for z in range(self.D)
-                for j in range(self.N) if j not in T]
-        return mx.rank(self.q_spec, self.generator()[:, cols]) == self.k_total
+        return unit_generator(self.encode_columns, self.k_total)
 
 
 def build_nearly_mds_improved(q: int, N: int, delta, eta, *, M_b: int = 2,

@@ -14,17 +14,16 @@ the outer code.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import (LinearCode, DecodingFailure, expand_code,
-                          min_distance, reed_solomon)
-from codefam.gf import FieldSpec, make_field
+from codefam.code import (LinearCode, DecodingFailure, UnitCode, expand_code,
+                          grid_units, reed_solomon, unit_generator)
+from codefam.ensemble import VerifyReport, split_pattern, verify_units
+from codefam.gf import FieldSpec, _is_prime, make_field
 from codefam.graphcode import BipartiteGraphCode
 
 
@@ -132,9 +131,9 @@ def build_outer_graph(q: int, n: int, ell: int, delta_prime,
     <= delta_prime * n.
     """
     delta_prime = Fraction(delta_prime)
-    q_spec = make_field(q, 1) if _is_prime(q) else None
-    if q_spec is None:
+    if not _is_prime(q):
         raise SymmetricCodeError("composite constructions require prime q")
+    q_spec = make_field(q, 1)
     sym_spec = make_field(q, ell)
     if sym_spec.q < n:
         raise SymmetricCodeError(f"alphabet q^{ell} too small for length {n}")
@@ -148,24 +147,15 @@ def build_outer_graph(q: int, n: int, ell: int, delta_prime,
     out = OuterGraphCode(q_spec, n, ell, space, base, delta_prime)
     if verify:
         s = math.floor(delta_prime * n)
-        for ssz in range(s + 1):
-            for tsz in range(s + 1):
-                for S in combinations(range(n), ssz):
-                    for T in combinations(range(n), tsz):
-                        if not _outer_corrects(out, S, T):
-                            raise SymmetricCodeError(
-                                f"outer block rank check failed at S={S}, T={T}")
+        axes = [(n, 0, s), (n, 0, s)]
+        # units: block rows, then block columns; the check has no budget
+        blocks = UnitCode(q_spec, space.G, grid_units(n * ell, n * ell, ell), dim=space.dim)
+        rep = verify_units(blocks, axes, budget=math.inf)
+        if not rep.passed:
+            S, T = split_pattern(rep.worst_pattern, axes)
+            raise SymmetricCodeError(
+                f"outer block rank check failed at S={tuple(S)}, T={tuple(T)}")
     return out
-
-
-def _outer_corrects(out: OuterGraphCode, S, T) -> bool:
-    e = out.ell
-    side = out.side
-    S = frozenset(S)
-    T = frozenset(T)
-    cols = [a * side + b for a in range(side) if a // e not in S
-            for b in range(side) if b // e not in T]
-    return mx.rank(out.spec, out.space.G[:, cols]) == out.dim
 
 
 class SymmetricGraphCode:
@@ -187,10 +177,15 @@ class SymmetricGraphCode:
         self.ell = outer.ell
         self.D_in = D
         self.N = outer.n * D
-        self.G = self._build_generator()
+        self.G = unit_generator(
+            lambda e: self._encode_outer_word(outer.space.codeword(e)), outer.dim)
         self.dim = mx.rank(self.spec, self.G)
         if self.dim != outer.dim:
             raise SymmetricCodeError("concatenation lost dimension")
+        # unit a is vertex a: erasing it erases row a and column a
+        grid = grid_units(self.N, self.N)
+        vertices = [grid[a] | grid[self.N + a] for a in range(self.N)]
+        self.unit_code = UnitCode(self.spec, self.G, vertices, dim=self.dim)
 
     def _encode_outer_word(self, X: np.ndarray) -> np.ndarray:
         n, e, D = self.n, self.ell, self.D_in
@@ -204,12 +199,6 @@ class SymmetricGraphCode:
                     enc = self.inner.encode_matrix(blk.T.reshape(-1)).T
                 out[i * D:(i + 1) * D, j * D:(j + 1) * D] = enc
         return out
-
-    def _build_generator(self) -> np.ndarray:
-        G = np.zeros((self.outer.dim, self.N * self.N), dtype=np.int64)
-        for r, base in enumerate(self.outer.space.basis_matrices()):
-            G[r] = self._encode_outer_word(base).reshape(-1)
-        return G
 
     def encode(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=np.int64)
@@ -276,51 +265,11 @@ def decode_graph(SGC: SymmetricGraphCode, received, E, F) -> np.ndarray:
     return sol
 
 
-@dataclass
-class GraphReport:
-    worst_pattern: tuple
-    patterns_tested: int
-    passed: bool
-    mode: str
-    rng_seed: int | None = None
-    notes: dict = field(default_factory=dict)
-
-
 def verify_graph(SGC: SymmetricGraphCode, delta, mode: str = "exhaustive",
-                 budget: int = 10 ** 5, rng_seed: int | None = None) -> GraphReport:
-    """Rank criterion over vertex erasure sets S (rows and columns both S)."""
-    delta = Fraction(delta)
-    s = math.floor(delta * SGC.N)
-    witness: tuple = ()
-    tested = 0
-    ok = True
-    if mode == "exhaustive":
-        pats = []
-        for sz in range(s + 1):
-            pats.extend(combinations(range(SGC.N), sz))
-    else:
-        if rng_seed is None:
-            raise SymmetricCodeError("montecarlo mode requires rng_seed")
-        rng = random.Random(rng_seed)
-        pats = [tuple(sorted(rng.sample(range(SGC.N), s))) for _ in range(budget)]
-    for S in pats:
-        keep = [a for a in range(SGC.N) if a not in S]
-        cols = [a * SGC.N + b for a in keep for b in keep]
-        tested += 1
-        if mx.rank(SGC.spec, SGC.G[:, cols]) != SGC.dim:
-            ok = False
-            witness = S
-            break
-    return GraphReport(worst_pattern=witness, patterns_tested=tested,
-                       passed=ok, mode=mode, rng_seed=rng_seed)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+                 budget: int = 10 ** 5, rng_seed: int | None = None) -> VerifyReport:
+    """Rank criterion over vertex erasure sets S (rows and columns both S):
+    every S of size <= delta*N, or `budget` sampled S of that size."""
+    if mode == "montecarlo" and rng_seed is None:
+        raise SymmetricCodeError("montecarlo mode requires rng_seed")
+    s = math.floor(Fraction(delta) * SGC.N)
+    return verify_units(SGC.unit_code, [(SGC.N, 0, s)], mode, budget, rng_seed)

@@ -158,3 +158,68 @@ def test_rebuild_is_byte_identical(fam_manifest, tmp_path):
     workers = tmp_path / "fam3.json"
     assert cli.main(["--workers", "4"] + FAMILY_ARGS + ["--out", str(workers)]) == 0
     assert workers.read_bytes() == fam_manifest.read_bytes()
+
+
+BIPARTITE_ARGS = ["build-graph", "--kind", "bipartite", "--q", "2", "--M", "4",
+                  "--N", "8", "--drow", "1/4", "--dcol", "1/4", "--eta", "1/4",
+                  "--seed", "1", "--ell", "2", "--ell0", "2", "--k-row", "2",
+                  "--family-size", "4", "--eps-fam", "1/4"]
+NEARLY_MDS_ARGS = {
+    "nearly-mds": ["--q", "2", "--N", "12", "--M", "4", "--delta", "1/4",
+                   "--eta", "1/2", "--seed", "3", "--ell", "4", "--ell0", "2",
+                   "--k-row", "3", "--eps-fam", "1/4"],
+    "nearly-mds-improved": ["--q", "2", "--N", "12", "--M_b", "2", "--D", "4",
+                            "--delta", "1/4", "--eta", "1/2", "--seed", "7"],
+}
+
+
+@pytest.fixture(scope="module")
+def bp_manifest(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "bp.json"
+    assert cli.main(BIPARTITE_ARGS + ["--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("kind", sorted(NEARLY_MDS_ARGS))
+def test_nearly_mds_verify_graph_uses_manifest_delta(kind, tmp_path):
+    man = tmp_path / "nm.json"
+    assert cli.main(["build-graph", "--kind", kind] + NEARLY_MDS_ARGS[kind]
+                    + ["--out", str(man)]) == 0
+    rep = tmp_path / "rep.json"
+    assert cli.main(["verify-graph", "--code", str(man), "--out", str(rep)]) == 0
+    out = json.loads(rep.read_text())
+    assert out["passed"] is True
+    assert out["patterns_tested"] == 220  # every 3 of 12 column symbols
+
+
+def test_verify_graph_honours_mode_and_budget(bp_manifest, tmp_path):
+    rep = tmp_path / "rep.json"
+    assert cli.main(["verify-graph", "--code", str(bp_manifest), "--mode",
+                     "montecarlo", "--budget", "3", "--seed", "5",
+                     "--out", str(rep)]) == 0
+    out = json.loads(rep.read_text())
+    assert (out["mode"], out["patterns_tested"], out["passed"]) == ("montecarlo", 3, True)
+    # the exhaustive scan needs 112 rank checks
+    assert cli.main(["verify-graph", "--code", str(bp_manifest),
+                     "--budget", "100"]) == 3
+
+
+@pytest.mark.parametrize("case", ["family-empty", "graph-no-params", "bad-rows",
+                                  "bad-cols"])
+def test_malformed_input_exit_code(case, bp_manifest, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    if case == "family-empty":
+        bad.write_text("{}")
+        argv = ["verify-family", "--manifest", str(bad)]
+    elif case == "graph-no-params":
+        bad.write_text(json.dumps({"kind": "bipartite"}))
+        argv = ["verify-graph", "--code", str(bad)]
+    else:
+        rcv = tmp_path / "rcv.txt"
+        cli.write_matrix_file(str(rcv), f2, [[0] * 8 for _ in range(4)])
+        flag = "--erased-rows" if case == "bad-rows" else "--erased-cols"
+        argv = ["decode", "--code", str(bp_manifest), "--in", str(rcv),
+                "--out", str(tmp_path / "dec.txt"), flag, "1,x"]
+    assert cli.main(argv) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])

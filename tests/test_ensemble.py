@@ -1,5 +1,7 @@
+import random
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 import pytest
@@ -55,6 +57,18 @@ def test_verify_family_montecarlo():
         ens.verify_family(F, mode="montecarlo", budget=10)
 
 
+def test_verify_family_montecarlo_names_smallest_worst_draw():
+    F = ens.sample_random_family(f2, 8, Fraction(1, 4), Fraction(1, 4),
+                                 Fraction(1, 4), 4, rng_seed=1)
+    rep = ens.verify_family(F, mode="montecarlo", budget=40, rng_seed=3)
+    rng = random.Random(3)
+    draws = [tuple(sorted(rng.sample(range(8), 2))) for _ in range(40)]
+    fracs = {pat: ens.failure_fraction(F, pat) for pat in draws}
+    worst = max(fracs.values())
+    assert rep.worst_fail_fraction == worst > 0
+    assert rep.worst_pattern == min(p for p in draws if fracs[p] == worst)
+
+
 def test_verify_family_budget():
     F = ens.sample_random_family(f2, 16, Fraction(1, 4), Fraction(1, 4),
                                  Fraction(1, 4), 4, rng_seed=0)
@@ -83,6 +97,29 @@ def test_existence_params_values():
                                 Fraction(1, 2))[0] == 4
     assert ens.existence_params(2, Fraction(1, 4), Fraction(1, 4),
                                 Fraction(1, 4)) == (32, 28)
+
+
+def test_existence_params_exact_on_grid():
+    """t_min against the integer test, n0 against 60-digit logarithms (n0's
+    bound is never an integer, as e is transcendental, so 60 digits decide
+    its ceiling)."""
+    fracs = sorted({Fraction(a, b) for b in range(2, 13) for a in range(1, b)})
+    for q in (2, 3, 256):
+        for eta in fracs:
+            for eps in fracs:
+                ab = eta * eps
+                t_ref = next(t for t in count(1)
+                             if q ** (t * ab.numerator) >= 4 ** ab.denominator)
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    y = (2 * (1 - Decimal(eps.numerator).ln()
+                              + Decimal(eps.denominator).ln()) * eta.denominator
+                         / (eta.numerator * Decimal(q).ln()))
+                    n_ref = int(y.to_integral_value(rounding=ROUND_CEILING))
+                assert ens.existence_params(q, 0, eta, eps) == (t_ref, n_ref), (q, eta, eps)
+    assert ens.existence_params(2, 0, Fraction(1, 3), Fraction(3, 11))[0] == 22
+    with pytest.raises(ens.EnsembleError):
+        ens.existence_params(2, 0, Fraction(1, 4), 0)
 
 
 def test_sample_random_family_shape_and_determinism():

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from codefam import ensemble as ens
 from codefam import graphcode as gc
 from codefam import matrix as mx
 from codefam import symmetric as sym
@@ -99,3 +100,21 @@ def test_concat_validation(outer):
                                k_row=2, family_size=4, eps_fam=Fraction(1, 4))
     with pytest.raises(sym.SymmetricCodeError):
         sym.concat_graph(outer, inner)  # not square
+
+
+def test_vertex_units_match_brute_force(sgc):
+    msgs = np.array([[(v >> i) & 1 for i in range(sgc.dim)]
+                     for v in range(1, 2 ** sgc.dim)], dtype=np.int64)
+    cws = mx.matmul(f2, msgs, sgc.G).reshape(-1, sgc.N, sgc.N)
+    for size in range(3):
+        for S in combinations(range(sgc.N), size):
+            keep = [a for a in range(sgc.N) if a not in S]
+            hidden = ~cws[:, keep][:, :, keep].reshape(len(msgs), -1).any(axis=1)
+            assert sgc.unit_code.corrects(S) == (not hidden.any()), S
+
+
+def test_verify_graph_budget_and_unknown_mode(sgc):
+    with pytest.raises(ens.BudgetExceeded):
+        sym.verify_graph(sgc, Fraction(1, 16), budget=16)  # 17 patterns
+    with pytest.raises(ens.EnsembleError):
+        sym.verify_graph(sgc, Fraction(1, 16), mode="sampled", rng_seed=1)
