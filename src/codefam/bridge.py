@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import dual_parity
+from codefam.code import UnitCode, dual_parity
 from codefam.ensemble import ErasureFamily
 from codefam.gf import FieldSpec
 
@@ -68,6 +68,20 @@ def family_to_condenser(F: ErasureFamily) -> LinearSeededMap:
     return LinearSeededMap(F.spec, maps)
 
 
+def _free_and_fixed(E: LinearSeededMap, free) -> tuple[list[int], list[int]]:
+    """A source's free positions, range-checked, and its fixed positions."""
+    free = sorted(set(int(x) for x in free))
+    if free and (free[0] < 0 or free[-1] >= E.n):
+        raise BridgeError("free positions out of range")
+    return free, sorted(set(range(E.n)) - set(free))
+
+
+def _rank_on_free(E: LinearSeededMap, fixed: list[int], dim: int) -> list[bool]:
+    """Per seed: the map with the fixed columns erased keeps rank `dim`."""
+    units = [1 << i for i in range(E.n)]
+    return [UnitCode(E.spec, G, units, dim).corrects(fixed) for G in E.maps]
+
+
 def extractor_error_on_source(E: LinearSeededMap, free) -> dict:
     """Per-seed exactness on the symbol-fixing source with the given free set.
 
@@ -75,25 +89,18 @@ def extractor_error_on_source(E: LinearSeededMap, free) -> dict:
     the frozen coordinates) iff G_z restricted to the free columns has
     rank m.
     """
-    free = sorted(set(int(x) for x in free))
-    if free and (free[0] < 0 or free[-1] >= E.n):
-        raise BridgeError("free positions out of range")
-    exact = []
-    for G in E.maps:
-        exact.append(mx.rank(E.spec, G[:, free]) == E.m if free else E.m == 0)
+    _, fixed = _free_and_fixed(E, free)
+    exact = _rank_on_free(E, fixed, E.m)
     failing = sum(1 for e in exact if not e)
     return {"exact": exact,
             "failing_fraction": Fraction(failing, len(exact))}
 
 
 def condenser_lossless_check(C: LinearSeededMap, free) -> dict:
-    """Seed z is lossless iff H_z restricted to the free columns is injective."""
-    free = sorted(set(int(x) for x in free))
-    if free and (free[0] < 0 or free[-1] >= C.n):
-        raise BridgeError("free positions out of range")
-    lossless = []
-    for H in C.maps:
-        lossless.append(mx.rank(C.spec, H[:, free]) == len(free))
+    """Seed z is lossless iff H_z restricted to the free columns is injective,
+    i.e. has rank |free|."""
+    free, fixed = _free_and_fixed(C, free)
+    lossless = _rank_on_free(C, fixed, len(free))
     failing = sum(1 for e in lossless if not e)
     return {"lossless": lossless,
             "failing_fraction": Fraction(failing, len(lossless))}

@@ -35,7 +35,8 @@ EXIT_IO = 4
 
 
 class InputError(Exception):
-    """Malformed input: a manifest key that is missing, a bad integer list."""
+    """Malformed input: a manifest that is not an object or lacks a key, a
+    bad integer list, a malformed matrix file."""
 
 
 class _Manifest(dict):
@@ -82,7 +83,10 @@ def _error(exc: Exception, rc: int) -> int:
 
 def _read_json(path: str):
     with open(path) as fh:
-        return json.load(fh, object_hook=_Manifest)
+        man = json.load(fh, object_hook=_Manifest)
+    if not isinstance(man, dict):
+        raise InputError(f"{path}: top level is not a JSON object")
+    return man
 
 
 # ----------------------------------------------------------------------
@@ -100,14 +104,14 @@ def write_matrix_file(path: str, spec, rows) -> None:
 
 def read_matrix_file(path: str):
     with open(path) as fh:
-        lines = [ln for ln in fh.read().strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    M, N = int(head[0]), int(head[1])
-    rows = []
-    for i in range(M):
-        rows.append([None if t == "?" else int(t) for t in lines[1 + i].split()])
-        if len(rows[-1]) != N:
-            raise ValueError("matrix row length mismatch")
+        lines = [ln.split() for ln in fh.read().splitlines() if ln.strip()]
+    try:
+        M, N = int(lines[0][0]), int(lines[0][1])
+        rows = [[None if t == "?" else int(t) for t in ln] for ln in lines[1:]]
+    except (IndexError, ValueError):
+        raise InputError(f"{path}: not a matrix file") from None
+    if len(rows) != M or any(len(row) != N for row in rows):
+        raise InputError(f"{path}: expected {M} rows of {N} entries")
     return rows
 
 

@@ -181,11 +181,15 @@ def erasure_decode(C: LinearCode, received):
     if len(received) != C.n:
         raise LengthMismatch(f"received length {len(received)} != n={C.n}")
     surv = [i for i, v in enumerate(received) if v is not None]
-    b = np.array([int(received[i]) for i in surv], dtype=np.int64)
-    # G[:, surv]^T x = received_surv
-    x = mx.solve(C.spec, C.G[:, surv].T, b)
+    return _solve_erasures(C.spec, C.G, surv, [int(received[i]) for i in surv],
+                           f"erasure pattern of size {C.n - len(surv)} uncorrectable")
+
+
+def _solve_erasures(spec: FieldSpec, G: np.ndarray, cols, vals, failure: str):
+    """The unique x with G[:, cols]^T x = vals; DecodingFailure(failure) otherwise."""
+    x = mx.solve(spec, G[:, cols].T, np.array(vals, dtype=np.int64))
     if x is mx.NO_SOLUTION or x is mx.UNDERDETERMINED:
-        raise DecodingFailure(f"erasure pattern of size {C.n - len(surv)} uncorrectable")
+        raise DecodingFailure(failure)
     return x
 
 
@@ -244,49 +248,6 @@ def reed_solomon(spec: FieldSpec, k: int, n: int, points=None) -> LinearCode:
     return LinearCode(spec, G)
 
 
-class BundledCode:
-    """r interleaved independent codewords of a base code.
-
-    Symbol j of the bundled code is column j of an (r, n) array, i.e. an
-    element of F_{q^{r*ell0}} when the base alphabet is F_{q^ell0}.  Length,
-    rate, and the set of correctable erasure patterns all match the base
-    code; bundling only enlarges the alphabet.
-    """
-
-    def __init__(self, base: LinearCode, r: int):
-        if r < 1:
-            raise CodeError("bundle factor must be >= 1")
-        self.base = base
-        self.r = r
-        self.spec = base.spec
-        self.k = base.k
-        self.n = base.n
-
-    @property
-    def rate(self) -> Fraction:
-        return self.base.rate
-
-    def encode(self, msg) -> np.ndarray:
-        msg = np.asarray(msg, dtype=np.int64)
-        if msg.shape != (self.r, self.k):
-            raise LengthMismatch(f"message shape {msg.shape} != ({self.r},{self.k})")
-        return np.stack([encode(self.base, msg[t]) for t in range(self.r)])
-
-    def corrects_pattern(self, pat) -> bool:
-        return corrects_pattern(self.base, pat)
-
-    def erasure_decode(self, received) -> np.ndarray:
-        """received: (r, n) array with None marks, erasures column-aligned."""
-        out = np.zeros((self.r, self.k), dtype=np.int64)
-        for t in range(self.r):
-            out[t] = erasure_decode(self.base, list(received[t]))
-        return out
-
-
-def bundle(C: LinearCode, r: int) -> BundledCode:
-    return BundledCode(C, r)
-
-
 def symbol_digit_map(outer_spec: FieldSpec, inner_spec: FieldSpec) -> int:
     """Number of inner-alphabet symbols per outer symbol.
 
@@ -322,6 +283,128 @@ def join_symbols(outer_spec: FieldSpec, inner_spec: FieldSpec, vec) -> np.ndarra
     return np.asarray(outer_spec.from_digits(digits)).reshape(-1)
 
 
+class InterleavedCode:
+    """r interleaved codewords of a base code over F_{p^ell0}, read as n
+    symbols of ell = r * ell0 base-p digits: the outer half of a concatenation.
+
+    Message digit (i, t, d) (row-major, i < k, t < r, d < ell0) is digit d
+    of message symbol i of codeword t; symbol b of the result is digits
+    (t, d) of symbol b of codeword t.  Length, rate and correctable
+    patterns are the base code's; interleaving only enlarges the alphabet.
+    """
+
+    def __init__(self, base: LinearCode, r: int = 1):
+        if r < 1:
+            raise CodeError("interleaving factor must be >= 1")
+        self.base = base
+        self.r = r
+        self.ell0 = base.spec.m
+        self.ell = r * self.ell0
+        self.n = base.n
+        self.k_total = base.k * self.ell
+
+    @property
+    def rate(self) -> Fraction:
+        return self.base.rate
+
+    def _digits_to_syms(self, digits: np.ndarray) -> np.ndarray:
+        """(..., ell) digits -> (..., r) base-field elements."""
+        grouped = digits.reshape(digits.shape[:-1] + (self.r, self.ell0))
+        return np.asarray(self.base.spec.from_digits(grouped))
+
+    def _syms_to_digits(self, syms: np.ndarray) -> np.ndarray:
+        return self.base.spec.to_digits(syms).reshape(syms.shape[:-1] + (self.ell,))
+
+    def encode_syms(self, msg) -> np.ndarray:
+        """Message of k_total digits -> (n, ell) symbol digits."""
+        msg = np.asarray(msg, dtype=np.int64).reshape(self.base.k, self.ell)
+        cw = mx.matmul(self.base.spec, self._digits_to_syms(msg).T, self.base.G)
+        return self._syms_to_digits(cw.T)
+
+    def decode_digits(self, digits: np.ndarray, known) -> np.ndarray:
+        """(n, ell) symbol digits of which those with known[b] survive -> message."""
+        syms = self._digits_to_syms(digits).T.tolist()        # (r, n)
+        msg = np.stack([erasure_decode(self.base, [s if ok else None
+                                                   for s, ok in zip(row, known)])
+                        for row in syms])                     # (r, k)
+        return self._syms_to_digits(msg.T).reshape(-1)
+
+
+class ConcatenatedCode:
+    """Outer code, inner codes and a cell placement (Forney concatenation).
+
+    Block b carries outer symbol b (ell digits) as a codeword of
+    inners[b] over F_{p^e}, every inner sharing (spec, n, k) with
+    k * e = ell.  Base-p digit j of that codeword lands on cell
+    cells[b, j]; -1 discards it, and a cell outside every block holds 0.
+
+    Decoding erases an inner symbol when any of its digits is missing,
+    turns a block whose inner code cannot recover it into an outer
+    erasure (without a solve when fewer than k of its symbols survive)
+    and solves the outer code on the rest.
+    """
+
+    def __init__(self, outer: InterleavedCode, inners: list[LinearCode],
+                 cells, n_cells: int):
+        inner = inners[0]
+        self.spec = inner.spec
+        self.e = inner.spec.m
+        self.cells = np.asarray(cells, dtype=np.int64)
+        if len(inners) != outer.n or any(
+                (c.spec, c.n, c.k) != (inner.spec, inner.n, inner.k) for c in inners):
+            raise DimensionMismatch(f"need {outer.n} inner codes of one shape")
+        if inner.spec.p != outer.base.spec.p or inner.k * self.e != outer.ell:
+            raise DimensionMismatch(
+                f"inner [{inner.n},{inner.k}] over GF({inner.spec.q}) does not "
+                f"carry {outer.ell}-digit outer symbols")
+        if self.cells.shape != (outer.n, inner.n * self.e) or not (
+                (-1 <= self.cells) & (self.cells < n_cells)).all():
+            raise DimensionMismatch("cell map does not fit the blocks")
+        self.outer = outer
+        self.inners = inners
+        self.n_cells = n_cells
+        self.k_total = outer.k_total
+        self._placed = self.cells >= 0
+        self._targets = self.cells[self._placed]
+        groups: dict[LinearCode, list[int]] = {}
+        for b, c in enumerate(inners):
+            groups.setdefault(c, []).append(b)
+        self._groups = [(c, np.array(blocks)) for c, blocks in groups.items()]
+
+    def encode(self, msg) -> np.ndarray:
+        """Message of k_total digits -> codeword of n_cells digits."""
+        B, k = len(self.inners), self.inners[0].k
+        syms = self.spec.from_digits(self.outer.encode_syms(msg).reshape(B, k, self.e))
+        words = np.empty((B, self.inners[0].n), dtype=np.int64)
+        for c, blocks in self._groups:
+            words[blocks] = mx.matmul(self.spec, syms[blocks], c.G)
+        out = np.zeros(self.n_cells, dtype=np.int64)
+        out[self._targets] = self.spec.to_digits(words).reshape(B, -1)[self._placed]
+        return out
+
+    def decode(self, received) -> np.ndarray:
+        """received: n_cells digits, None marking an erased cell."""
+        B, n, k = len(self.inners), self.inners[0].n, self.inners[0].k
+        # cell -1 (discarded) reads the appended always-erased cell
+        known = np.array([v is not None for v in received] + [False])
+        vals = np.array([0 if v is None else v for v in received] + [0], dtype=np.int64)
+        sym_known = known[self.cells].reshape(B, n, self.e).all(axis=2)
+        syms = self.spec.from_digits(vals[self.cells].reshape(B, n, self.e))
+        msgs = np.zeros((B, k), dtype=np.int64)
+        decoded = [False] * B
+        for b, (word, ok) in enumerate(zip(syms.tolist(), sym_known.tolist())):
+            if sum(ok) < k:
+                continue
+            try:
+                msgs[b] = erasure_decode(self.inners[b],
+                                         [v if s else None for v, s in zip(word, ok)])
+                decoded[b] = True
+            except DecodingFailure:
+                pass
+        digits = self.spec.to_digits(msgs).reshape(B, self.outer.ell)
+        return self.outer.decode_digits(digits, decoded)
+
+
 def concatenate(outer: LinearCode, inner: LinearCode) -> LinearCode:
     """Forney concatenation: outer over F_{q^ell}, inner [L, ell] over F_q.
 
@@ -329,19 +412,11 @@ def concatenate(outer: LinearCode, inner: LinearCode) -> LinearCode:
     by the inner code.  Requires a prime inner alphabet so the symbol
     splitting is scalar-linear and the result is a genuine F_q-linear code.
     """
-    ell = symbol_digit_map(outer.spec, inner.spec)
-    if inner.k != ell:
-        raise DimensionMismatch(
-            f"inner dimension {inner.k} != outer alphabet exponent {ell}")
     if inner.spec.m != 1:
         raise DimensionMismatch("concatenation requires a prime inner alphabet")
-    q = inner.spec
-
-    def encode_concatenated(msg):
-        cw = encode(outer, join_symbols(outer.spec, q, msg))
-        syms = split_symbols(outer.spec, q, cw).reshape(outer.n, ell)
-        return np.concatenate([encode(inner, s) for s in syms])
-    return LinearCode(q, unit_generator(encode_concatenated, outer.k * ell))
+    cells = np.arange(outer.n * inner.n).reshape(outer.n, inner.n)
+    core = ConcatenatedCode(InterleavedCode(outer), [inner] * outer.n, cells, cells.size)
+    return LinearCode(inner.spec, unit_generator(core.encode, core.k_total))
 
 
 def expand_code(C: LinearCode, sub: FieldSpec) -> LinearCode:

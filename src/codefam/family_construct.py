@@ -18,9 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from codefam.code import (LinearCode, DecodingFailure, InfeasibleAtDeskScale,
-                          encode, erasure_decode, min_distance, split_symbols,
-                          join_symbols, symbol_digit_map, unit_generator, TooLarge)
+from codefam.code import (ConcatenatedCode, InterleavedCode, LinearCode,
+                          InfeasibleAtDeskScale, min_distance, symbol_digit_map,
+                          unit_generator, TooLarge)
 from codefam.ensemble import ErasureFamily, existence_params
 from codefam.shuffler import Shuffler
 
@@ -125,24 +125,18 @@ def placement(p: ShuffledFamilyParams, z: int) -> PlacementMap:
     return PlacementMap(p.sh, p.L, z)
 
 
+def _member_code(p: ShuffledFamilyParams, z: int, ci: int) -> ConcatenatedCode:
+    """Member (z, ci): outer symbol i inner-encoded onto the slots of S_i^z."""
+    return ConcatenatedCode(InterleavedCode(p.outer), [p.inner.codes[ci]] * p.M,
+                            placement(p, z).slot_to_pos, p.N)
+
+
 def encode_member(p: ShuffledFamilyParams, z: int, ci: int, msg) -> np.ndarray:
     """Encode a q-ary message of length k_total by member (z, ci)."""
     msg = np.asarray(msg, dtype=np.int64)
     if msg.shape != (p.k_total,):
         raise ParamMismatch(f"message length {msg.shape} != {p.k_total}")
-    outer_msg = join_symbols(p.outer.spec, p.q_spec, msg)
-    outer_cw = encode(p.outer, outer_msg)
-    inner_code = p.inner.codes[ci]
-    pm = placement(p, z)
-    out = np.zeros(p.N, dtype=np.int64)
-    syms = split_symbols(p.outer.spec, p.q_spec, outer_cw).reshape(p.M, p.ell)
-    for i in range(p.M):
-        word = encode(inner_code, syms[i])
-        for j in range(p.L):
-            x = pm.slot_to_pos[i, j]
-            if x != DISCARDED:
-                out[x] = word[j]
-    return out
+    return _member_code(p, z, ci).encode(msg)
 
 
 def decode_member(p: ShuffledFamilyParams, z: int, ci: int, received) -> np.ndarray:
@@ -155,23 +149,7 @@ def decode_member(p: ShuffledFamilyParams, z: int, ci: int, received) -> np.ndar
     """
     if len(received) != p.N:
         raise ParamMismatch(f"received length {len(received)} != N = {p.N}")
-    inner_code = p.inner.codes[ci]
-    pm = placement(p, z)
-    outer_received: list = []
-    for i in range(p.M):
-        word: list = [None] * p.L
-        for j in range(p.L):
-            x = pm.slot_to_pos[i, j]
-            if x != DISCARDED and received[x] is not None:
-                word[j] = int(received[x])
-        try:
-            digits = erasure_decode(inner_code, word)
-            sym = int(join_symbols(p.outer.spec, p.q_spec, digits)[0])
-            outer_received.append(sym)
-        except DecodingFailure:
-            outer_received.append(None)
-    outer_msg = erasure_decode(p.outer, outer_received)
-    return split_symbols(p.outer.spec, p.q_spec, outer_msg).reshape(-1)
+    return _member_code(p, z, ci).decode(received)
 
 
 def member_generator(p: ShuffledFamilyParams, z: int, ci: int) -> np.ndarray:

@@ -3,8 +3,8 @@ Bipartite graph codes on M x N matrices and their nearly-MDS
 specialization.
 
 A codeword matrix is produced by encoding a message with a row code
-over F_{q^ell} (realized as a bundled Reed-Solomon code over a smaller
-extension) and then encoding each row symbol into a length-N row by a
+over F_{q^ell} (realized as interleaved Reed-Solomon codewords over a
+smaller extension) and then encoding each row symbol into a length-N row by a
 member of a column-erasure family.  Decoding tolerates the erasure of
 whole rows and whole columns: surviving rows are column-decoded first,
 rows whose column code fails become row-symbol erasures, and the row
@@ -26,9 +26,9 @@ from functools import cached_property
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import (LinearCode, BundledCode, DecodingFailure,
-                          InfeasibleAtDeskScale, UnitCode, bundle, encode,
-                          erasure_decode, grid_units, reed_solomon, unit_generator)
+from codefam.code import (ConcatenatedCode, InterleavedCode, LinearCode,
+                          InfeasibleAtDeskScale, UnitCode, grid_units, reed_solomon,
+                          unit_generator)
 from codefam.ensemble import ErasureFamily, verify_family
 from codefam.gf import FieldSpec, _prime_power, make_field
 from codefam.shuffler import make_seeded_random
@@ -38,11 +38,9 @@ class GraphCodeError(ValueError):
     pass
 
 
-class RowCodeRS:
-    """Bundled Reed-Solomon row code over F_{q^ell0}, symbols in F_{q^ell}.
-
-    ell = r * ell0 q-ary digits per row symbol; message is k_row * ell
-    q-ary digits.
+class RowCodeRS(InterleavedCode):
+    """r interleaved Reed-Solomon codewords over F_{q^ell0}: row symbols of
+    ell = r * ell0 q-ary digits; the message is k_row * ell q-ary digits.
     """
 
     def __init__(self, q_spec: FieldSpec, M: int, k_row: int, ell0: int, r: int):
@@ -53,48 +51,19 @@ class RowCodeRS:
         if row_spec.q < M:
             raise GraphCodeError(f"row alphabet q^{ell0} < M = {M}")
         self.row_spec = row_spec
-        self.base = reed_solomon(row_spec, k_row, M)
-        self.bundled = bundle(self.base, r)
+        super().__init__(reed_solomon(row_spec, k_row, M), r)
         self.M = M
         self.k_row = k_row
-        self.ell0 = ell0
-        self.r = r
-        self.ell = r * ell0
-        self.k_total = k_row * self.ell
-
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.k_row, self.M)
 
     @property
     def max_symbol_erasures(self) -> int:
         return self.M - self.k_row
 
-    def _digits_to_syms(self, digits: np.ndarray) -> np.ndarray:
-        """(..., ell) q-ary digits -> (..., r) row-field elements."""
-        grouped = digits.reshape(digits.shape[:-1] + (self.r, self.ell0))
-        return np.asarray(self.row_spec.from_digits(grouped))
-
-    def _syms_to_digits(self, syms: np.ndarray) -> np.ndarray:
-        return self.row_spec.to_digits(syms).reshape(syms.shape[:-1] + (self.ell,))
-
-    def encode_syms(self, msg) -> np.ndarray:
-        """q-ary message (k_total,) -> (M, ell) q-ary row symbols."""
-        msg = np.asarray(msg, dtype=np.int64).reshape(self.k_row, self.ell)
-        bundled_msg = self._digits_to_syms(msg).T            # (r, k_row)
-        cw = self.bundled.encode(bundled_msg)                # (r, M)
-        return self._syms_to_digits(cw.T)                    # (M, ell)
-
     def decode_syms(self, syms: list) -> np.ndarray:
         """syms[i] is a length-ell digit vector or None; returns the message."""
-        received = [[None] * self.M for _ in range(self.r)]
-        for i, s in enumerate(syms):
-            if s is not None:
-                elems = self._digits_to_syms(np.asarray(s, dtype=np.int64))
-                for t in range(self.r):
-                    received[t][i] = int(elems[t])
-        bundled_msg = self.bundled.erasure_decode(received)  # (r, k_row)
-        return self._syms_to_digits(bundled_msg.T).reshape(-1)
+        digits = np.array([np.zeros(self.ell) if s is None else s for s in syms],
+                          dtype=np.int64)
+        return self.decode_digits(digits, [s is not None for s in syms])
 
 
 class BipartiteGraphCode:
@@ -134,32 +103,23 @@ class BipartiteGraphCode:
     def col_rate(self) -> Fraction:
         return Fraction(self.row.ell, self.N)
 
+    @cached_property
+    def _core(self) -> ConcatenatedCode:
+        """Row symbol i is column-encoded onto cells i*N .. i*N + N-1."""
+        return ConcatenatedCode(
+            self.row, [self.col_family.codes[self.assignment(i)] for i in range(self.M)],
+            np.arange(self.M * self.N).reshape(self.M, self.N), self.M * self.N)
+
     def encode_matrix(self, msg) -> np.ndarray:
         msg = np.asarray(msg, dtype=np.int64).reshape(self.k_total)
-        syms = self.row.encode_syms(msg)                     # (M, ell)
-        out = np.zeros((self.M, self.N), dtype=np.int64)
-        for i in range(self.M):
-            code = self.col_family.codes[self.assignment(i)]
-            out[i] = encode(code, syms[i])
-        return out
+        return self._core.encode(msg).reshape(self.M, self.N)
 
     def decode_matrix(self, received, S=(), T=()) -> np.ndarray:
         """received: (M, N) with None entries allowed; S/T: erased rows/cols."""
         S = frozenset(S)
         T = frozenset(T)
-        syms: list = []
-        for i in range(self.M):
-            if i in S:
-                syms.append(None)
-                continue
-            word = [None if (j in T or received[i][j] is None)
-                    else int(received[i][j]) for j in range(self.N)]
-            code = self.col_family.codes[self.assignment(i)]
-            try:
-                syms.append(erasure_decode(code, word))
-            except DecodingFailure:
-                syms.append(None)
-        return self.row.decode_syms(syms)
+        return self._core.decode([None if i in S or j in T else received[i][j]
+                                  for i in range(self.M) for j in range(self.N)])
 
     @cached_property
     def unit_code(self) -> UnitCode:
@@ -200,7 +160,7 @@ def build_bipartite(q: int, M: int, N: int, delta_row, delta_col, eta,
                     eps_fam=None) -> BipartiteGraphCode:
     """Explicit-path bipartite graph code from desk-scale components.
 
-    The row code is Reed-Solomon over F_{q^ell0} (q^ell0 >= M) bundled to
+    The row code is Reed-Solomon over F_{q^ell0} (q^ell0 >= M) interleaved to
     symbols of F_{q^ell}; the column family is sampled and exhaustively
     verified at (delta_col, eps_fam), then repeated round-robin over the
     rows.  Feasibility check: erased rows plus worst-case family-failing
@@ -378,57 +338,22 @@ class ImprovedNearlyMDSCode(_ColumnSymbols):
     def log_Q(self) -> int:
         return self.D  # columns read as F_{q^D} symbols
 
-    def _block_positions(self, z: int) -> list[list[int]]:
-        return self.sh.blocks(z)
+    @cached_property
+    def _core(self) -> ConcatenatedCode:
+        """Block z*M_b + i carries its q'-ary digits on row z, columns sh.blocks(z)[i]."""
+        cells = [[z * self.N + x for x in blk]
+                 for z in range(self.D) for blk in self.sh.blocks(z)]
+        return ConcatenatedCode(InterleavedCode(self.outer), [self.inner] * len(cells),
+                                cells, self.D * self.N)
 
     def encode_columns(self, msg) -> np.ndarray:
         msg = np.asarray(msg, dtype=np.int64).reshape(self.k_total)
-        outer_msg = self.outer_spec.from_digits(
-            self.q_spec.to_digits(msg.reshape(self.k_out, self.ell))
-            .reshape(self.k_out, self.ell))
-        outer_cw = encode(self.outer, np.asarray(outer_msg, dtype=np.int64))
-        out = np.zeros((self.D, self.N), dtype=np.int64)
-        for z in range(self.D):
-            blocks = self._block_positions(z)
-            for i in range(self.M_b):
-                sym = int(outer_cw[z * self.M_b + i])
-                digits = self.outer_spec.to_digits(sym)          # (ell,)
-                inner_msg = self.inner_spec.from_digits(
-                    np.asarray(digits).reshape(self.k_inner, self.e))
-                word = encode(self.inner, np.asarray(inner_msg, dtype=np.int64))
-                qdigits = self.inner_spec.to_digits(word).reshape(-1)  # (L,)
-                for j, x in enumerate(blocks[i]):
-                    out[z, x] = qdigits[j]
-        return out
+        return self._core.encode(msg).reshape(self.D, self.N)
 
     def decode_columns(self, received, T=()) -> np.ndarray:
         T = frozenset(T)
-        outer_received: list = []
-        for z in range(self.D):
-            blocks = self._block_positions(z)
-            for i in range(self.M_b):
-                word: list = [None] * self.L2
-                ok_digits = np.zeros(self.L, dtype=np.int64)
-                present = np.ones(self.L2, dtype=bool)
-                for j, x in enumerate(blocks[i]):
-                    if x in T or received[z][x] is None:
-                        present[j // self.e] = False
-                    else:
-                        ok_digits[j] = int(received[z][x])
-                for s in range(self.L2):
-                    if present[s]:
-                        word[s] = int(self.inner_spec.from_digits(
-                            ok_digits[s * self.e:(s + 1) * self.e]))
-                try:
-                    inner_msg = erasure_decode(self.inner, word)
-                    digits = self.inner_spec.to_digits(inner_msg).reshape(-1)
-                    outer_received.append(int(self.outer_spec.from_digits(digits)))
-                except DecodingFailure:
-                    outer_received.append(None)
-        outer_msg = erasure_decode(self.outer, outer_received)
-        digits = self.outer_spec.to_digits(outer_msg)            # (k_out, ell)
-        return np.asarray(self.q_spec.from_digits(
-            np.asarray(digits).reshape(self.k_out * self.ell, 1))).reshape(-1)
+        return self._core.decode([None if x in T else received[z][x]
+                                  for z in range(self.D) for x in range(self.N)])
 
     def generator(self) -> np.ndarray:
         return unit_generator(self.encode_columns, self.k_total)

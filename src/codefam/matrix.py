@@ -47,13 +47,8 @@ def as_matrix(spec: FieldSpec, rows) -> np.ndarray:
 
 def pack_rows(a: np.ndarray) -> list[int]:
     """Pack GF(2) rows into ints; bit j of the int is column j."""
-    out = []
-    for row in a:
-        v = 0
-        for j in range(len(row) - 1, -1, -1):
-            v = (v << 1) | int(row[j])
-        out.append(v)
-    return out
+    packed = np.packbits(np.asarray(a, dtype=np.uint8), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def rank_packed(rows: list[int]) -> int:

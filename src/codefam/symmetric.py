@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import (LinearCode, DecodingFailure, UnitCode, expand_code,
-                          grid_units, reed_solomon, unit_generator)
+from codefam.code import (LinearCode, DecodingFailure, UnitCode, _solve_erasures,
+                          expand_code, grid_units, reed_solomon, unit_generator)
 from codefam.ensemble import VerifyReport, split_pattern, verify_units
 from codefam.gf import FieldSpec, _is_prime, make_field
 from codefam.graphcode import BipartiteGraphCode
@@ -258,11 +258,8 @@ def decode_graph(SGC: SymmetricGraphCode, received, E, F) -> np.ndarray:
                 for y in range(e):
                     known_cols.append((i * e + x) * side + (j * e + y))
                     known_vals.append(int(cell[x, y]))
-    A = SGC.outer.space.G[:, known_cols].T
-    sol = mx.solve(SGC.spec, A, np.array(known_vals, dtype=np.int64))
-    if sol is mx.NO_SOLUTION or sol is mx.UNDERDETERMINED:
-        raise DecodingFailure("outer block-erasure solve failed")
-    return sol
+    return _solve_erasures(SGC.spec, SGC.outer.space.G, known_cols, known_vals,
+                           "outer block-erasure solve failed")
 
 
 def verify_graph(SGC: SymmetricGraphCode, delta, mode: str = "exhaustive",

@@ -223,3 +223,43 @@ def test_malformed_input_exit_code(case, bp_manifest, tmp_path, capsys):
     assert cli.main(argv) == 4
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
+# the flag that names the manifest, and any other flag a command requires
+MANIFEST_FLAGS = {"verify-family": ["--manifest"], "verify-graph": ["--code"],
+                  "bridge": ["--as", "extractor", "--out", "out.json", "--family"],
+                  "report": ["--manifest"], "check-source": ["--bridge"]}
+
+
+def _bad_matrix(case, path):
+    """A 4 x 8 matrix file spoiled in one way."""
+    cli.write_matrix_file(str(path), f2, [[0] * 8 for _ in range(4)])
+    lines = path.read_text().splitlines()
+    if case == "token":
+        lines[2] = lines[2][:-1] + "x"
+    elif case == "short-row":
+        lines[2] = lines[2][:-2]
+    elif case == "few-rows":
+        lines = lines[:-1]
+    elif case == "extra-row":
+        lines.append(lines[-1])
+    else:
+        lines = []
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("case", [*MANIFEST_FLAGS, "token", "short-row", "few-rows",
+                                  "extra-row", "empty"])
+def test_malformed_file_exit_code(case, bp_manifest, tmp_path, capsys):
+    """A manifest that is not a JSON object, or a broken matrix file, exits 4."""
+    bad = tmp_path / "bad"
+    if case in MANIFEST_FLAGS:
+        bad.write_text("[]")
+        argv = [case, *MANIFEST_FLAGS[case], str(bad)]
+    else:
+        _bad_matrix(case, bad)
+        argv = ["decode", "--code", str(bp_manifest), "--in", str(bad),
+                "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"

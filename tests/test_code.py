@@ -105,14 +105,21 @@ def test_min_distance_too_large():
 
 def test_bundle_matches_base():
     base = cd.reed_solomon(f5, 2, 4)
-    B = cd.bundle(base, 3)
-    msg = np.array([[1, 2], [0, 4], [3, 3]], dtype=np.int64)
-    cw = B.encode(msg)
-    assert cw.shape == (3, 4)
-    rec = [[None if j == 2 else int(cw[t, j]) for j in range(4)] for t in range(3)]
-    assert np.array_equal(B.erasure_decode(rec), msg)
-    for pat in combinations(range(4), 2):
-        assert B.corrects_pattern(pat) == cd.corrects_pattern(base, pat)
+    B = cd.InterleavedCode(base, 3)
+    msg = np.array([[1, 2], [0, 4], [3, 3]], dtype=np.int64)  # codeword t carries msg[t]
+    digits = msg.T.reshape(-1)              # digit (i, t): symbol i of codeword t
+    syms = B.encode_syms(digits)
+    assert syms.shape == (4, 3)
+    for t in range(3):
+        assert np.array_equal(syms[:, t], cd.encode(base, msg[t]))
+    assert np.array_equal(B.decode_digits(syms, [j != 2 for j in range(4)]), digits)
+    for pat in [*combinations(range(4), 2), *combinations(range(4), 3)]:
+        known = [j not in pat for j in range(4)]
+        if cd.corrects_pattern(base, pat):
+            assert np.array_equal(B.decode_digits(syms, known), digits)
+        else:
+            with pytest.raises(cd.DecodingFailure):
+                B.decode_digits(syms, known)
 
 
 def test_split_join_symbols_roundtrip():

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from codefam import code as cd
@@ -110,3 +111,64 @@ def test_row_column_scan_stops_at_first_failure():
         else:
             assert rep.passed and rep.patterns_tested == len(pairs)
             assert rep.worst_pattern == ()
+
+
+def draw_code(data, spec, k, n):
+    G = data.draw(matrices(spec, k, n))
+    assume(mx.rank(spec, G) == k)
+    return cd.LinearCode(spec, G)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_concatenated_code_matches_block_oracle(data):
+    """decode succeeds exactly when the outer code corrects the failed blocks.
+
+    A block fails when its inner code cannot correct its erased symbols,
+    a symbol being erased when any of its digits is discarded or erased.
+    """
+    p, e, r = (data.draw(st.sampled_from(v)) for v in ([2, 3], [1, 2], [1, 2]))
+    n_in = data.draw(st.integers(1, 3))
+    k_in = data.draw(st.integers(1, min(2, n_in)))
+    assume(k_in * e % r == 0)
+    inner_spec = make_field(p, e)
+    pool = [draw_code(data, inner_spec, k_in, n_in)
+            for _ in range(data.draw(st.integers(1, 2)))]
+    n_out = data.draw(st.integers(1, 3))
+    base_spec = make_field(p, k_in * e // r)
+    base = draw_code(data, base_spec, data.draw(st.integers(1, min(2, n_out))), n_out)
+    outer = cd.InterleavedCode(base, r)
+    inners = [data.draw(st.sampled_from(pool)) for _ in range(n_out)]
+
+    slots = n_out * n_in * e
+    n_cells = slots + data.draw(st.integers(0, 2))
+    perm = data.draw(st.permutations(range(n_cells)))
+    dropped = data.draw(st.sets(st.integers(0, slots - 1)))
+    cells = np.array([-1 if s in dropped else perm[s] for s in range(slots)])
+    core = cd.ConcatenatedCode(outer, inners, cells.reshape(n_out, -1), n_cells)
+
+    msg = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=core.k_total,
+                                      max_size=core.k_total)), dtype=np.int64)
+    cw = core.encode(msg)
+    G = cd.unit_generator(core.encode, core.k_total)
+    assert np.array_equal(cw, mx.matmul(make_field(p, 1), msg[None, :], G)[0])
+    assert not cw[sorted(set(range(n_cells)) - set(cells.tolist()))].any()
+
+    erased = data.draw(st.sets(st.integers(0, n_cells - 1)))
+    lost = np.array([c < 0 or c in erased for c in cells.tolist()]).reshape(n_out, n_in, e)
+    failed = [b for b in range(n_out)
+              if not cd.corrects_pattern(inners[b], np.flatnonzero(lost[b].any(axis=1)))]
+    received = [None if c in erased else int(v) for c, v in enumerate(cw)]
+    if cd.corrects_pattern(base, failed):
+        assert np.array_equal(core.decode(received), msg)
+    else:
+        with pytest.raises(cd.DecodingFailure):
+            core.decode(received)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pack_rows_matches_bitwise_reference(data):
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 70))
+    G = data.draw(matrices(f2, rows, cols)).reshape(rows, cols)
+    assert mx.pack_rows(G) == [sum(int(v) << j for j, v in enumerate(row)) for row in G]
