@@ -4,8 +4,8 @@ encode/decode files, and run the extractor/condenser bridge.
 
 All randomness flows from the recorded --seed; reruns with the same
 config produce byte-identical output files.  Exit codes: 0 pass,
-2 verification or decoding failure, 3 infeasible parameters, 4 I/O or
-malformed input.
+2 verification or decoding failure, 3 infeasible parameters, 4 I/O,
+malformed input or a bad command line.
 """
 
 from __future__ import annotations
@@ -35,8 +35,16 @@ EXIT_IO = 4
 
 
 class InputError(Exception):
-    """Malformed input: a manifest that is not an object or lacks a key, a
-    bad integer list, a malformed matrix file."""
+    """Malformed input: a bad command line, a manifest that is not an object
+    or lacks a key, a bad integer list, a malformed matrix file."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 4), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
 
 
 class _Manifest(dict):
@@ -47,7 +55,10 @@ class _Manifest(dict):
 
 
 def _frac(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def _ints(text: str) -> list[int]:
@@ -102,7 +113,9 @@ def write_matrix_file(path: str, spec, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_matrix_file(path: str):
+def read_matrix_file(path: str, spec=None):
+    """Rows of a matrix file, None marking an erasure.  Given the code's
+    field `spec`, the header must name that field and every entry lie in it."""
     with open(path) as fh:
         lines = [ln.split() for ln in fh.read().splitlines() if ln.strip()]
     try:
@@ -112,6 +125,13 @@ def read_matrix_file(path: str):
         raise InputError(f"{path}: not a matrix file") from None
     if len(rows) != M or any(len(row) != N for row in rows):
         raise InputError(f"{path}: expected {M} rows of {N} entries")
+    if spec is not None:
+        field = ["field", *map(str, (spec.p, spec.m, *spec.irreducible))]
+        if lines[0][2:] != field:
+            raise InputError(f"{path}: header names {' '.join(lines[0][2:])!r}, "
+                             f"the code is over {' '.join(field)!r}")
+        if any(v is not None and not 0 <= v < spec.q for row in rows for v in row):
+            raise InputError(f"{path}: entry outside GF({spec.q})")
     return rows
 
 
@@ -277,7 +297,8 @@ def _graph_patterns(kind: str, code, delta: Fraction):
 def cmd_verify_graph(a) -> int:
     man = _read_json(a.code)
     code = _rebuild(man)
-    delta = Fraction(a.delta or man.get("delta") or man["params"].get("delta", "0"))
+    delta = a.delta if a.delta is not None else Fraction(
+        man.get("delta") or man["params"].get("delta", "0"))
     units, axes = _graph_patterns(man["kind"], code, delta)
     rep = ens.verify_units(units, axes, a.mode, a.budget, a.seed)
     witness = ens.split_pattern(rep.worst_pattern, axes)
@@ -294,46 +315,74 @@ def cmd_verify_graph(a) -> int:
     return EXIT_PASS if rep.passed else EXIT_VERIFY_FAIL
 
 
+def _field(kind: str, code):
+    """The field of a code's messages and codewords."""
+    return code.spec if kind == "symmetric" else code.q_spec
+
+
+def _erasure_units(kind: str, code):
+    """How many rows and columns decode's --erased-rows and --erased-cols
+    may name; None where the kind has no such units."""
+    if kind == "bipartite":
+        return code.M, code.N
+    if kind == "symmetric":
+        return code.N, code.N
+    if kind in ("nearly-mds", "nearly-mds-improved"):
+        return None, code.N
+    return None, None
+
+
+def _units(text: str, n: int | None, flag: str, kind: str) -> list[int]:
+    units = _ints(text)
+    if units and n is None:
+        raise InputError(f"{flag}: a {kind} code has no such units")
+    if any(not 0 <= u < n for u in units):
+        raise InputError(f"{flag}: {units} not all in [0, {n})")
+    return units
+
+
 def cmd_encode(a) -> int:
     man = _read_json(a.code)
+    kind = man["kind"]
     code = _rebuild(man)
-    rows = read_matrix_file(a.infile)
+    spec = _field(kind, code)
+    rows = read_matrix_file(a.infile, spec)
+    if any(v is None for row in rows for v in row):
+        raise InputError(f"{a.infile}: a message has no erased entries")
     msg = np.array([v for row in rows for v in row], dtype=np.int64)
-    if man["kind"] == "family":
-        cw = fc.encode_member(code, a.z, a.member, msg)
-        write_matrix_file(a.out, code.q_spec, [list(cw)])
-    elif man["kind"] == "bipartite":
-        mat = code.encode_matrix(msg)
-        write_matrix_file(a.out, code.q_spec, [list(r) for r in mat])
-    elif man["kind"] in ("nearly-mds", "nearly-mds-improved"):
-        mat = code.encode_columns(msg)
-        write_matrix_file(a.out, code.q_spec, [list(r) for r in mat])
+    if kind == "family":
+        out = [fc.encode_member(code, a.z, a.member, msg)]
+    elif kind == "bipartite":
+        out = code.encode_matrix(msg)
+    elif kind in ("nearly-mds", "nearly-mds-improved"):
+        out = code.encode_columns(msg)
     else:
-        mat = code.encode(msg)
-        write_matrix_file(a.out, code.spec, [list(r) for r in mat])
+        out = code.encode(msg)
+    write_matrix_file(a.out, spec, [list(r) for r in out])
     return EXIT_PASS
 
 
 def cmd_decode(a) -> int:
     man = _read_json(a.code)
+    kind = man["kind"]
     code = _rebuild(man)
-    rows = read_matrix_file(a.infile)
-    erased_rows, erased_cols = _ints(a.erased_rows), _ints(a.erased_cols)
+    spec = _field(kind, code)
+    rows = read_matrix_file(a.infile, spec)
+    n_rows, n_cols = _erasure_units(kind, code)
+    erased_rows = _units(a.erased_rows, n_rows, "--erased-rows", kind)
+    erased_cols = _units(a.erased_cols, n_cols, "--erased-cols", kind)
     try:
-        if man["kind"] == "family":
+        if kind == "family":
             msg = fc.decode_member(code, a.z, a.member, rows[0])
-            write_matrix_file(a.out, code.q_spec, [list(msg)])
-        elif man["kind"] == "bipartite":
+        elif kind == "bipartite":
             msg = code.decode_matrix(rows, S=erased_rows, T=erased_cols)
-            write_matrix_file(a.out, code.q_spec, [list(msg)])
-        elif man["kind"] in ("nearly-mds", "nearly-mds-improved"):
+        elif kind in ("nearly-mds", "nearly-mds-improved"):
             msg = code.decode_columns(rows, T=erased_cols)
-            write_matrix_file(a.out, code.q_spec, [list(msg)])
         else:
             msg = sym.decode_graph(code, rows, erased_rows, erased_cols)
-            write_matrix_file(a.out, code.spec, [list(msg)])
     except cd.DecodingFailure as exc:
         return _error(exc, EXIT_VERIFY_FAIL)
+    write_matrix_file(a.out, spec, [list(msg)])
     return EXIT_PASS
 
 
@@ -366,13 +415,12 @@ def cmd_check_source(a) -> int:
         out = {"role": "extractor", "free": free,
                "per_seed_exact": res["exact"],
                "failing_fraction": str(res["failing_fraction"])}
-        passed = res["failing_fraction"] <= Fraction(a.epsilon)
     else:
         res = br.condenser_lossless_check(lsm, free)
         out = {"role": "condenser", "free": free,
                "per_seed_lossless": res["lossless"],
                "failing_fraction": str(res["failing_fraction"])}
-        passed = res["failing_fraction"] <= Fraction(a.epsilon)
+    passed = res["failing_fraction"] <= a.epsilon
     out["passed"] = passed
     _report(a.out, out)
     return EXIT_PASS if passed else EXIT_VERIFY_FAIL
@@ -404,7 +452,7 @@ def cmd_report(a) -> int:
 # ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="codefam")
+    ap = _Parser(prog="codefam")
     ap.add_argument("--workers", type=int,
                     default=int(os.environ.get("CODEFAM_WORKERS", "1")),
                     help="worker count (results are independent of it)")
@@ -462,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-graph")
     p.add_argument("--code", required=True)
-    p.add_argument("--delta", type=str, default=None)
+    p.add_argument("--delta", type=_frac, default=None)
     p.add_argument("--mode", choices=["exhaustive", "montecarlo"],
                    default="exhaustive")
     p.add_argument("--budget", type=int, default=10 ** 5)
@@ -498,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-source")
     p.add_argument("--bridge", required=True)
     p.add_argument("--free", default="")
-    p.add_argument("--epsilon", type=str, default="1")
+    p.add_argument("--epsilon", type=_frac, default=Fraction(1))
     p.add_argument("--out")
     p.set_defaults(func=cmd_check_source)
 
@@ -509,9 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    a = ap.parse_args(argv)
     try:
+        a = build_parser().parse_args(argv)
         return a.func(a)
     except (OSError, json.JSONDecodeError, InputError) as exc:
         return _error(exc, EXIT_IO)

@@ -186,8 +186,9 @@ def erasure_decode(C: LinearCode, received):
 
 
 def _solve_erasures(spec: FieldSpec, G: np.ndarray, cols, vals, failure: str):
-    """The unique x with G[:, cols]^T x = vals; DecodingFailure(failure) otherwise."""
-    x = mx.solve(spec, G[:, cols].T, np.array(vals, dtype=np.int64))
+    """The unique x with G[:, cols]^T x = vals (a vector, or a matrix with one
+    right-hand side per column); DecodingFailure(failure) otherwise."""
+    x = mx.solve(spec, G[:, cols].T, np.asarray(vals, dtype=np.int64))
     if x is mx.NO_SOLUTION or x is mx.UNDERDETERMINED:
         raise DecodingFailure(failure)
     return x
@@ -322,12 +323,13 @@ class InterleavedCode:
         return self._syms_to_digits(cw.T)
 
     def decode_digits(self, digits: np.ndarray, known) -> np.ndarray:
-        """(n, ell) symbol digits of which those with known[b] survive -> message."""
-        syms = self._digits_to_syms(digits).T.tolist()        # (r, n)
-        msg = np.stack([erasure_decode(self.base, [s if ok else None
-                                                   for s, ok in zip(row, known)])
-                        for row in syms])                     # (r, k)
-        return self._syms_to_digits(msg.T).reshape(-1)
+        """(n, ell) symbol digits of which those with known[b] survive -> message;
+        the r codewords share their survivors, so one solve decodes them all."""
+        surv = np.flatnonzero(known)
+        msg = _solve_erasures(self.base.spec, self.base.G, surv,
+                              self._digits_to_syms(digits)[surv],
+                              f"erasure pattern of size {self.n - len(surv)} uncorrectable")
+        return self._syms_to_digits(msg).reshape(-1)
 
 
 class ConcatenatedCode:

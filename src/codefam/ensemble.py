@@ -16,7 +16,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -263,44 +263,25 @@ def sample_random_family(spec: FieldSpec, n: int, delta, eta, epsilon,
 
 
 def _rref_generators(spec: FieldSpec, k: int, L: int) -> list[np.ndarray]:
-    """All k x L generators in reduced row echelon form, in the canonical
-    order induced by row-major integer enumeration.
+    """All k x L generators in reduced row echelon form, in lexicographic
+    order of their row-major entries.
 
     One RREF matrix per k-dimensional subspace, so enumerating these walks
-    every [L, k] code exactly once.
+    every [L, k] code exactly once.  Each pivot set contributes a 1 at
+    every row's pivot and every field value in each entry right of that
+    pivot outside the pivot columns.
     """
-    q = spec.q
-    out = []
-    total = q ** (k * L)
-    for v in range(total):
-        flat = np.zeros(k * L, dtype=np.int64)
-        t = v
-        for i in range(k * L - 1, -1, -1):
-            flat[i] = t % q
-            t //= q
-        G = flat.reshape(k, L)
-        if _is_rref(spec, G):
-            out.append(G)
-    return out
-
-
-def _is_rref(spec: FieldSpec, G: np.ndarray) -> bool:
-    k, L = G.shape
-    prev = -1
-    for r in range(k):
-        nz = np.nonzero(G[r])[0]
-        if len(nz) == 0:
-            return False
-        lead = int(nz[0])
-        if lead <= prev:
-            return False
-        if G[r, lead] != 1:
-            return False
-        col = G[:, lead]
-        if np.count_nonzero(col) != 1:
-            return False
-        prev = lead
-    return True
+    blocks = []
+    for pivots in combinations(range(L), k):
+        free = [(r, c) for r, p in enumerate(pivots)
+                for c in range(p + 1, L) if c not in pivots]
+        fills = np.array(list(product(range(spec.q), repeat=len(free))), dtype=np.int64)
+        G = np.zeros((len(fills), k, L), dtype=np.int64)
+        G[:, range(k), pivots] = 1
+        G[:, [r for r, _ in free], [c for _, c in free]] = fills
+        blocks.append(G.reshape(len(fills), k * L))
+    flat = np.concatenate(blocks)
+    return list(flat[np.lexsort(flat.T[::-1])].reshape(-1, k, L))
 
 
 def exhaustive_inner_search(spec: FieldSpec, L: int, delta_in, mu,
@@ -309,9 +290,11 @@ def exhaustive_inner_search(spec: FieldSpec, L: int, delta_in, mu,
     """First ensemble, in canonical order, meeting the family property.
 
     Candidate codes are enumerated one per subspace (RREF representatives
-    in row-major integer order), and ensembles are tuples of those codes
-    in product order.  Deterministic; raises SearchExhausted when no
-    ensemble of the requested size achieves worst failing fraction <= mu.
+    in row-major integer order), and ensembles are non-decreasing tuples of
+    those codes in lexicographic order.  The family property does not
+    depend on member order, so the first hit is also the first in product
+    order.  Deterministic; raises SearchExhausted when no ensemble of the
+    requested size achieves worst failing fraction <= mu.
     """
     delta_in = Fraction(delta_in)
     mu = Fraction(mu)
@@ -335,7 +318,7 @@ def exhaustive_inner_search(spec: FieldSpec, L: int, delta_in, mu,
         masks.append(m)
     allowed_fails = mu * family_size
     SEARCH_STATS["calls"] += 1
-    for combo in product(range(len(codes)), repeat=family_size):
+    for combo in combinations_with_replacement(range(len(codes)), family_size):
         SEARCH_STATS["ensembles_examined"] += 1
         ok = True
         for idx in range(len(patterns)):

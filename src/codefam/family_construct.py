@@ -63,6 +63,7 @@ class ShuffledFamilyParams:
         self.L = L
         self.N = sh.N
         self.D = sh.D
+        self._members: dict[tuple[int, int], ConcatenatedCode] = {}
 
     @property
     def k_total(self) -> int:
@@ -126,9 +127,14 @@ def placement(p: ShuffledFamilyParams, z: int) -> PlacementMap:
 
 
 def _member_code(p: ShuffledFamilyParams, z: int, ci: int) -> ConcatenatedCode:
-    """Member (z, ci): outer symbol i inner-encoded onto the slots of S_i^z."""
-    return ConcatenatedCode(InterleavedCode(p.outer), [p.inner.codes[ci]] * p.M,
-                            placement(p, z).slot_to_pos, p.N)
+    """Member (z, ci): outer symbol i inner-encoded onto the slots of S_i^z.
+    Built on first use and kept on p."""
+    code = p._members.get((z, ci))
+    if code is None:
+        code = p._members[z, ci] = ConcatenatedCode(
+            InterleavedCode(p.outer), [p.inner.codes[ci]] * p.M,
+            placement(p, z).slot_to_pos, p.N)
+    return code
 
 
 def encode_member(p: ShuffledFamilyParams, z: int, ci: int, msg) -> np.ndarray:

@@ -4,11 +4,17 @@ Dense linear algebra over finite fields.
 Matrices are numpy int64 arrays of field-element encodings paired with a
 FieldSpec.  Everything here is exact; there is no floating point anywhere.
 
-Two performance paths:
+Two performance paths for rank:
   * GF(2): rows are packed into Python ints (arbitrary-precision bitmasks)
     and elimination works with XOR on whole rows at once.
   * general q: vectorized elimination, clearing a whole pivot column per
     step with one table-lookup broadcast.
+
+Gauss-Jordan in two passes: `_eliminate` is the forward pass to row
+echelon form (all `rank` needs), `_reduce` the back pass that clears the
+entries above each pivot, giving the reduced row echelon form.  `solve`
+(one right-hand side or a matrix of them) and `kernel_basis` read their
+answers straight off the reduced form.
 """
 
 from __future__ import annotations
@@ -99,6 +105,16 @@ def _eliminate(spec: FieldSpec, a: np.ndarray):
     return m, pivots
 
 
+def _reduce(spec: FieldSpec, ech: np.ndarray, pivots) -> np.ndarray:
+    """Back pass: clear the entries above each pivot of an echelon form from
+    `_eliminate`, in place, leaving its reduced row echelon form."""
+    for r in range(len(pivots) - 1, 0, -1):
+        block = ech[:r, pivots[r]:]
+        if np.count_nonzero(block[:, 0]):
+            block[:] = spec.sub(block, spec.mul(block[:, :1], ech[r, pivots[r]:]))
+    return ech
+
+
 def rank(spec: FieldSpec, a) -> int:
     a = as_matrix(spec, a)
     if a.shape[0] == 0 or a.shape[1] == 0:
@@ -107,16 +123,6 @@ def rank(spec: FieldSpec, a) -> int:
         return rank_packed(pack_rows(a))
     _, pivots = _eliminate(spec, a)
     return len(pivots)
-
-
-def select(a, rows=None, cols=None) -> np.ndarray:
-    """Submatrix by row/column index lists (order preserved)."""
-    a = np.asarray(a, dtype=np.int64)
-    if rows is not None:
-        a = a[np.asarray(rows, dtype=np.int64)]
-    if cols is not None:
-        a = a[:, np.asarray(cols, dtype=np.int64)]
-    return a
 
 
 def matmul(spec: FieldSpec, a, b) -> np.ndarray:
@@ -141,56 +147,40 @@ def matvec(spec: FieldSpec, a, x) -> np.ndarray:
 
 
 def solve(spec: FieldSpec, a, b):
-    """Solve a @ x = b.
+    """Solve a @ x = b, where b is a vector or a matrix of right-hand sides
+    (one per column).
 
-    Returns the unique solution vector, NO_SOLUTION if inconsistent, or
-    UNDERDETERMINED if many solutions exist.
+    Returns the unique solution (shaped like b, with a's column count in
+    place of its row count), NO_SOLUTION if any right-hand side is
+    inconsistent, or UNDERDETERMINED if many solutions exist.
     """
     a = as_matrix(spec, a)
     b = np.asarray(b, dtype=np.int64)
-    if b.ndim != 1 or b.shape[0] != a.shape[0]:
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
         raise ValueError("right-hand side shape mismatch")
-    aug = np.concatenate([a, b[:, None]], axis=1)
-    ech, pivots = _eliminate(spec, aug)
     ncols = a.shape[1]
-    if pivots and pivots[-1] == ncols:
+    rhs = b[:, None] if b.ndim == 1 else b
+    ech, pivots = _eliminate(spec, np.concatenate([a, rhs], axis=1))
+    if pivots and pivots[-1] >= ncols:
         return NO_SOLUTION
     if len(pivots) < ncols:
         return UNDERDETERMINED
-    # back substitution on the echelon form
-    x = np.zeros(ncols, dtype=np.int64)
-    for r in range(ncols - 1, -1, -1):
-        c = pivots[r]
-        acc = int(ech[r, ncols])
-        row = ech[r, c + 1: ncols]
-        nz = np.nonzero(row)[0]
-        if len(nz):
-            dots = spec.mul(row[nz], x[c + 1 + nz])
-            for d in np.atleast_1d(dots):
-                acc = spec.sub(acc, int(d))
-        x[c] = acc
-    return x
+    x = _reduce(spec, ech[:ncols], pivots)[:, ncols:]
+    # a copy, so the solution does not hold the whole augmented matrix alive
+    return (x[:, 0] if b.ndim == 1 else x).copy()
 
 
 def kernel_basis(spec: FieldSpec, a) -> np.ndarray:
-    """Basis (rows) of the right null space {x : a @ x = 0}."""
+    """Basis (rows) of the right null space {x : a @ x = 0}: one row per
+    free column f, with x[free] = e_f and x[pivots] = -R[:, f] for the
+    reduced row echelon form R of a."""
     a = as_matrix(spec, a)
-    ncols = a.shape[1]
     ech, pivots = _eliminate(spec, a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        x = basis[bi]
-        x[fc] = 1
-        # pivots in increasing column order; solve bottom-up
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            acc = 0
-            row = ech[r, c + 1:]
-            nz = np.nonzero(row)[0]
-            for off in nz:
-                acc = spec.add(acc, spec.mul(int(row[off]), int(x[c + 1 + off])))
-            x[c] = spec.neg(acc)
+    R = _reduce(spec, ech, pivots)[:len(pivots)]
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    basis[:, free] = identity(len(free))
+    basis[:, pivots] = spec.neg(R[:, free]).T
     return basis
 
 

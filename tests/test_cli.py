@@ -243,19 +243,32 @@ def _bad_matrix(case, path):
         lines = lines[:-1]
     elif case == "extra-row":
         lines.append(lines[-1])
+    elif case == "entry":
+        lines[2] = "7" + lines[2][1:]
+    elif case == "field":
+        lines[0] = lines[0].replace("field 2 1", "field 3 1")
     else:
         lines = []
     path.write_text("\n".join(lines) + "\n")
 
 
+# messages that are no GF(2) message of the bipartite code
+BAD_MESSAGES = {"message-entry": [[1, 2, 0, 1]], "message-erasure": [[1, None, 0, 1]]}
+
+
 @pytest.mark.parametrize("case", [*MANIFEST_FLAGS, "token", "short-row", "few-rows",
-                                  "extra-row", "empty"])
+                                  "extra-row", "empty", "entry", "field", *BAD_MESSAGES])
 def test_malformed_file_exit_code(case, bp_manifest, tmp_path, capsys):
-    """A manifest that is not a JSON object, or a broken matrix file, exits 4."""
+    """A manifest that is not a JSON object, a broken matrix file, or one
+    whose header or entries are not the code's field, exits 4."""
     bad = tmp_path / "bad"
     if case in MANIFEST_FLAGS:
         bad.write_text("[]")
         argv = [case, *MANIFEST_FLAGS[case], str(bad)]
+    elif case in BAD_MESSAGES:
+        cli.write_matrix_file(str(bad), f2, BAD_MESSAGES[case])
+        argv = ["encode", "--code", str(bp_manifest), "--in", str(bad),
+                "--out", str(tmp_path / "out")]
     else:
         _bad_matrix(case, bad)
         argv = ["decode", "--code", str(bp_manifest), "--in", str(bad),
@@ -263,3 +276,88 @@ def test_malformed_file_exit_code(case, bp_manifest, tmp_path, capsys):
     assert cli.main(argv) == 4
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+
+
+@pytest.fixture(scope="module")
+def nm_manifest(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "nm.json"
+    assert cli.main(["build-graph", "--kind", "nearly-mds"] + NEARLY_MDS_ARGS["nearly-mds"]
+                    + ["--out", str(path)]) == 0
+    return path
+
+
+def _zero_codeword(manifest, k_total, tmp_path):
+    """The file of the codeword of the all-zero message."""
+    msg, cw = tmp_path / "zero.msg", tmp_path / "zero.cw"
+    cli.write_matrix_file(str(msg), f2, [[0] * k_total])
+    assert cli.main(["encode", "--code", str(manifest), "--in", str(msg),
+                     "--out", str(cw)]) == 0
+    return cw
+
+
+# (manifest fixture, message length, decode flag, its value)
+DECODE_FLAGS = {
+    "row-out-of-range": ("bp_manifest", 4, "--erased-rows", "99"),
+    "col-out-of-range": ("bp_manifest", 4, "--erased-cols", "-3"),
+    "family-cols": ("fam_manifest", 3, "--erased-cols", "0"),
+    "family-rows": ("fam_manifest", 3, "--erased-rows", "0"),
+    "nearly-mds-rows": ("nm_manifest", 12, "--erased-rows", "0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODE_FLAGS))
+def test_decode_flag_exit_code(case, request, tmp_path, capsys):
+    """An erased row or column out of range, or one the code kind has no
+    rows or columns for, exits 4 instead of being ignored."""
+    fixture, k_total, flag, value = DECODE_FLAGS[case]
+    manifest = request.getfixturevalue(fixture)
+    cw = _zero_codeword(manifest, k_total, tmp_path)
+    capsys.readouterr()
+    assert cli.main(["decode", "--code", str(manifest), "--in", str(cw),
+                     "--out", str(tmp_path / "dec.txt"), flag, value]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+
+
+USAGE_ERRORS = {
+    "budget": (["verify-family", "--manifest"], "fam_manifest", ["--budget", "abc"]),
+    "delta": (["verify-graph", "--code"], "bp_manifest", ["--delta", "abc"]),
+    "delta-zero-denominator": (["verify-graph", "--code"], "bp_manifest",
+                               ["--delta", "1/0"]),
+    "epsilon": (["check-source", "--bridge"], "bridge_file", ["--epsilon", "abc"]),
+    "no-command": ([], None, []),
+}
+
+
+@pytest.fixture
+def bridge_file(fam_manifest, tmp_path):
+    path = tmp_path / "ext.json"
+    assert cli.main(["bridge", "--family", str(fam_manifest), "--as", "extractor",
+                     "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exit_code(case, request, capsys):
+    """A bad command line exits 4 with one JSON line, not argparse's 2 or 3."""
+    head, fixture, tail = USAGE_ERRORS[case]
+    argv = head + ([str(request.getfixturevalue(fixture))] if fixture else []) + tail
+    capsys.readouterr()
+    assert cli.main(argv) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
+def test_verify_graph_delta_zero_means_zero(nm_manifest, tmp_path):
+    """--delta 0 erases no column symbol; it does not fall back to the manifest."""
+    rep = tmp_path / "rep.json"
+    assert cli.main(["verify-graph", "--code", str(nm_manifest), "--delta", "0",
+                     "--out", str(rep)]) == 0
+    assert json.loads(rep.read_text())["patterns_tested"] == 1

@@ -94,12 +94,6 @@ def test_kernel_basis(p, m):
             assert mx.rank(spec, K) == K.shape[0]
 
 
-def test_select():
-    a = np.arange(12).reshape(3, 4)
-    sub = mx.select(a, rows=[2, 0], cols=[1, 3])
-    assert np.array_equal(sub, [[9, 11], [1, 3]])
-
-
 def test_as_matrix_validation():
     spec = make_field(2, 1)
     with pytest.raises(ValueError):

@@ -2,9 +2,12 @@
 
 At tiny sizes a set of erased units is correctable exactly when no nonzero
 codeword is supported inside the erased cells; the oracle below checks that
-by listing every codeword.
+by listing every codeword.  The linear algebra (solve, kernels, reduced
+echelon forms) and the inner search are pinned the same way, to brute
+force over every vector or matrix.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -172,3 +175,128 @@ def test_pack_rows_matches_bitwise_reference(data):
     rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 70))
     G = data.draw(matrices(f2, rows, cols)).reshape(rows, cols)
     assert mx.pack_rows(G) == [sum(int(v) << j for j, v in enumerate(row)) for row in G]
+
+
+def all_vectors(spec, n):
+    return np.array(list(product(range(spec.q), repeat=n)), dtype=np.int64)
+
+
+def brute_solve(spec, a, b):
+    """Every x with a @ x = b, by listing all of F_q^n."""
+    xs = all_vectors(spec, a.shape[1])
+    hits = [x for x in xs if np.array_equal(mx.matvec(spec, a, x), b)]
+    if not hits:
+        return mx.NO_SOLUTION
+    return hits[0] if len(hits) == 1 else mx.UNDERDETERMINED
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solve_matches_brute_force(data):
+    spec = data.draw(st.sampled_from(FIELDS))
+    m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3))
+    a = data.draw(matrices(spec, m, n))
+    if data.draw(st.booleans()):  # a consistent right-hand side
+        b = mx.matvec(spec, a, data.draw(matrices(spec, 1, n))[0])
+    else:
+        b = data.draw(matrices(spec, 1, m))[0]
+    got, want = mx.solve(spec, a, b), brute_solve(spec, a, b)
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got is want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_solve_many_right_hand_sides_matches_columns(data):
+    spec = data.draw(st.sampled_from(FIELDS))
+    m, n, r = (data.draw(st.integers(lo, 4)) for lo in (0, 1, 1))
+    a = data.draw(matrices(spec, m, n))
+    B = mx.matmul(spec, a, data.draw(matrices(spec, n, r)))
+    if m and data.draw(st.booleans()):  # spoil one column
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, r - 1))
+        B[i, j] = (B[i, j] + 1) % spec.q
+    cols = [mx.solve(spec, a, B[:, j]) for j in range(r)]
+    got = mx.solve(spec, a, B)
+    if any(c is mx.NO_SOLUTION for c in cols):
+        assert got is mx.NO_SOLUTION
+    elif any(c is mx.UNDERDETERMINED for c in cols):
+        assert got is mx.UNDERDETERMINED
+    else:
+        assert got.shape == (n, r) and got.base is None
+        assert np.array_equal(got, np.stack(cols, axis=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_basis_matches_brute_force(data):
+    """Row i is the one kernel vector that is e_i on the free columns, a
+    column being free when it lies in the span of the columns before it."""
+    spec = data.draw(st.sampled_from(FIELDS))
+    m, n = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 4))
+    a = data.draw(matrices(spec, m, n))
+    free = [c for c in range(n) if mx.rank(spec, a[:, :c + 1]) == mx.rank(spec, a[:, :c])]
+    kernel = [x for x in all_vectors(spec, n) if not mx.matvec(spec, a, x).any()]
+    want = [[x for x in kernel if np.array_equal(x[free], e)] for e in np.eye(len(free))]
+    assert all(len(w) == 1 for w in want)
+    assert np.array_equal(mx.kernel_basis(spec, a),
+                          np.array([w[0] for w in want]).reshape(len(free), n))
+
+
+# (field, k, L) with at most 1024 candidate k x L matrices
+RREF_CASES = [(spec, k, L) for spec in FIELDS for L in range(1, 11) for k in range(1, L + 1)
+              if spec.q ** (k * L) <= 1024]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RREF_CASES))
+def test_rref_generators_match_scan(case):
+    """The direct construction lists exactly the full-rank matrices equal to
+    their own reduced echelon form, in row-major integer order."""
+    spec, k, L = case
+    scan = []
+    for flat in product(range(spec.q), repeat=k * L):
+        G = np.array(flat, dtype=np.int64).reshape(k, L)
+        if mx.rank(spec, G) == k and np.array_equal(G, mx._reduce(spec, *mx._eliminate(spec, G))):
+            scan.append(G)
+    got = ens._rref_generators(spec, k, L)
+    assert len(got) == len(scan)
+    assert all(np.array_equal(g, h) for g, h in zip(got, scan))
+
+
+def test_rref_order_holds_past_one_byte():
+    gens = ens._rref_generators(make_field(257, 1), 1, 2)
+    assert [g.tolist() for g in gens] == sorted(g.tolist() for g in gens)
+    assert len(gens) == 258 and gens[-1].tolist() == [[1, 256]]
+
+
+def product_order_search(spec, L, delta_in, mu, size, k):
+    """First ensemble in product order passing the family property, or None."""
+    codes = [cd.LinearCode(spec, G) for G in ens._rref_generators(spec, k, L)]
+    pats = list(combinations(range(L), math.floor(delta_in * L)))
+    ok = [[cd.corrects_pattern(c, pat) for pat in pats] for c in codes]
+    for combo in product(range(len(codes)), repeat=size):
+        if all(sum(not ok[ci][j] for ci in combo) <= mu * size for j in range(len(pats))):
+            return [codes[ci].G for ci in combo]
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_inner_search_matches_product_order(data):
+    spec = data.draw(st.sampled_from(FIELDS))
+    L = data.draw(st.integers(2, 5))
+    k = data.draw(st.integers(1, L))
+    assume(spec.q ** (k * L) <= 4096)
+    size = data.draw(st.integers(1, 3))
+    assume(len(ens._rref_generators(spec, k, L)) ** size <= 3000)
+    delta_in = Fraction(data.draw(st.integers(0, L - 1)), L)
+    mu = data.draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2)]))
+    want = product_order_search(spec, L, delta_in, mu, size, k)
+    if want is None:
+        with pytest.raises(ens.SearchExhausted):
+            ens.exhaustive_inner_search(spec, L, delta_in, mu, size, k=k)
+    else:
+        got = ens.exhaustive_inner_search(spec, L, delta_in, mu, size, k=k)
+        assert [c.G.tolist() for c in got.codes] == [G.tolist() for G in want]
