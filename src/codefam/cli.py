@@ -315,9 +315,15 @@ def cmd_verify_graph(a) -> int:
     return EXIT_PASS if rep.passed else EXIT_VERIFY_FAIL
 
 
-def _field(kind: str, code):
-    """The field of a code's messages and codewords."""
-    return code.spec if kind == "symmetric" else code.q_spec
+def _layout(kind: str, code):
+    """A code's field, message length, and the rows and columns of its codewords."""
+    if kind == "family":
+        return code.q_spec, code.k_total, 1, code.N
+    if kind == "symmetric":
+        return code.spec, code.dim, code.N, code.N
+    if kind == "bipartite":
+        return code.q_spec, code.k_total, code.M, code.N
+    return code.q_spec, code.k_total, code.M_rows, code.N
 
 
 def _erasure_units(kind: str, code):
@@ -341,17 +347,27 @@ def _units(text: str, n: int | None, flag: str, kind: str) -> list[int]:
     return units
 
 
+def _member(a, fam) -> tuple[int, int]:
+    """The family member that --z and --member name."""
+    for flag, v, n in (("--z", a.z, fam.D), ("--member", a.member, len(fam.inner))):
+        if not 0 <= v < n:
+            raise InputError(f"{flag}: {v} not in [0, {n})")
+    return a.z, a.member
+
+
 def cmd_encode(a) -> int:
     man = _read_json(a.code)
     kind = man["kind"]
     code = _rebuild(man)
-    spec = _field(kind, code)
+    spec, k, _, _ = _layout(kind, code)
     rows = read_matrix_file(a.infile, spec)
     if any(v is None for row in rows for v in row):
         raise InputError(f"{a.infile}: a message has no erased entries")
     msg = np.array([v for row in rows for v in row], dtype=np.int64)
+    if len(msg) != k:
+        raise InputError(f"{a.infile}: a message of {len(msg)} entries, the code takes {k}")
     if kind == "family":
-        out = [fc.encode_member(code, a.z, a.member, msg)]
+        out = [fc.encode_member(code, *_member(a, code), msg)]
     elif kind == "bipartite":
         out = code.encode_matrix(msg)
     elif kind in ("nearly-mds", "nearly-mds-improved"):
@@ -366,14 +382,16 @@ def cmd_decode(a) -> int:
     man = _read_json(a.code)
     kind = man["kind"]
     code = _rebuild(man)
-    spec = _field(kind, code)
+    spec, _, *shape = _layout(kind, code)
     rows = read_matrix_file(a.infile, spec)
+    if [len(rows), len(rows[0]) if rows else 0] != shape:
+        raise InputError(f"{a.infile}: a {kind} codeword is {shape[0]} x {shape[1]}")
     n_rows, n_cols = _erasure_units(kind, code)
     erased_rows = _units(a.erased_rows, n_rows, "--erased-rows", kind)
     erased_cols = _units(a.erased_cols, n_cols, "--erased-cols", kind)
     try:
         if kind == "family":
-            msg = fc.decode_member(code, a.z, a.member, rows[0])
+            msg = fc.decode_member(code, *_member(a, code), rows[0])
         elif kind == "bipartite":
             msg = code.decode_matrix(rows, S=erased_rows, T=erased_cols)
         elif kind in ("nearly-mds", "nearly-mds-improved"):

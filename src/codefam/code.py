@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.gf import FieldSpec, make_field, parse_field_tag
+from codefam.gf import FieldSpec, make_field
 
 
 class CodeError(ValueError):
@@ -151,6 +151,9 @@ class LinearCode:
     @property
     def rate(self) -> Fraction:
         return Fraction(self.k, self.n)
+
+    def decode(self, received) -> np.ndarray:
+        return erasure_decode(self, received)
 
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}] over GF({self.spec.p}^{self.spec.m}))"
@@ -298,6 +301,7 @@ class InterleavedCode:
         if r < 1:
             raise CodeError("interleaving factor must be >= 1")
         self.base = base
+        self.spec = base.spec
         self.r = r
         self.ell0 = base.spec.m
         self.ell = r * self.ell0
@@ -311,25 +315,49 @@ class InterleavedCode:
     def _digits_to_syms(self, digits: np.ndarray) -> np.ndarray:
         """(..., ell) digits -> (..., r) base-field elements."""
         grouped = digits.reshape(digits.shape[:-1] + (self.r, self.ell0))
-        return np.asarray(self.base.spec.from_digits(grouped))
+        return np.asarray(self.spec.from_digits(grouped))
 
     def _syms_to_digits(self, syms: np.ndarray) -> np.ndarray:
-        return self.base.spec.to_digits(syms).reshape(syms.shape[:-1] + (self.ell,))
+        return self.spec.to_digits(syms).reshape(syms.shape[:-1] + (self.ell,))
 
     def encode_syms(self, msg) -> np.ndarray:
         """Message of k_total digits -> (n, ell) symbol digits."""
         msg = np.asarray(msg, dtype=np.int64).reshape(self.base.k, self.ell)
-        cw = mx.matmul(self.base.spec, self._digits_to_syms(msg).T, self.base.G)
+        cw = mx.matmul(self.spec, self._digits_to_syms(msg).T, self.base.G)
         return self._syms_to_digits(cw.T)
 
     def decode_digits(self, digits: np.ndarray, known) -> np.ndarray:
         """(n, ell) symbol digits of which those with known[b] survive -> message;
         the r codewords share their survivors, so one solve decodes them all."""
         surv = np.flatnonzero(known)
-        msg = _solve_erasures(self.base.spec, self.base.G, surv,
+        msg = _solve_erasures(self.spec, self.base.G, surv,
                               self._digits_to_syms(digits)[surv],
                               f"erasure pattern of size {self.n - len(surv)} uncorrectable")
         return self._syms_to_digits(msg).reshape(-1)
+
+
+class GroupedCode:
+    """An F_p-linear code read as n symbols: symbol b is the ell digits in
+    columns cols[b] of msg @ G.  The outer half of a concatenation whose
+    outer code is not an interleaved code over a larger field."""
+
+    def __init__(self, spec: FieldSpec, G: np.ndarray, cols):
+        self.spec = spec
+        self.G = G
+        self.cols = np.asarray(cols, dtype=np.int64)
+        self.n, self.ell = self.cols.shape
+        self.k_total = G.shape[0]
+
+    def encode_syms(self, msg) -> np.ndarray:
+        """Message of k_total digits -> (n, ell) symbol digits."""
+        msg = np.asarray(msg, dtype=np.int64)
+        return mx.matmul(self.spec, msg[None, :], self.G)[0][self.cols]
+
+    def decode_digits(self, digits: np.ndarray, known) -> np.ndarray:
+        """(n, ell) symbol digits of which those with known[b] survive -> message."""
+        known = np.flatnonzero(known)
+        return _solve_erasures(self.spec, self.G, self.cols[known].reshape(-1),
+                               digits[known].reshape(-1), "outer block-erasure solve failed")
 
 
 class ConcatenatedCode:
@@ -342,20 +370,22 @@ class ConcatenatedCode:
 
     Decoding erases an inner symbol when any of its digits is missing,
     turns a block whose inner code cannot recover it into an outer
-    erasure (without a solve when fewer than k of its symbols survive)
+    erasure (without a decode when fewer than k of its symbols survive)
     and solves the outer code on the rest.
+
+    The result is an [n, k] code over F_p (n cells, k message digits,
+    generator G), so it can be the inner code of another concatenation.
     """
 
-    def __init__(self, outer: InterleavedCode, inners: list[LinearCode],
-                 cells, n_cells: int):
+    def __init__(self, outer: InterleavedCode | GroupedCode,
+                 inners: list[LinearCode | ConcatenatedCode], cells, n_cells: int):
         inner = inners[0]
-        self.spec = inner.spec
         self.e = inner.spec.m
         self.cells = np.asarray(cells, dtype=np.int64)
         if len(inners) != outer.n or any(
                 (c.spec, c.n, c.k) != (inner.spec, inner.n, inner.k) for c in inners):
             raise DimensionMismatch(f"need {outer.n} inner codes of one shape")
-        if inner.spec.p != outer.base.spec.p or inner.k * self.e != outer.ell:
+        if inner.spec.p != outer.spec.p or inner.k * self.e != outer.ell:
             raise DimensionMismatch(
                 f"inner [{inner.n},{inner.k}] over GF({inner.spec.q}) does not "
                 f"carry {outer.ell}-digit outer symbols")
@@ -364,46 +394,52 @@ class ConcatenatedCode:
             raise DimensionMismatch("cell map does not fit the blocks")
         self.outer = outer
         self.inners = inners
-        self.n_cells = n_cells
-        self.k_total = outer.k_total
+        self.spec = make_field(inner.spec.p, 1)
+        self.n = n_cells
+        self.k = outer.k_total
         self._placed = self.cells >= 0
         self._targets = self.cells[self._placed]
-        groups: dict[LinearCode, list[int]] = {}
+        groups: dict[LinearCode | ConcatenatedCode, list[int]] = {}
         for b, c in enumerate(inners):
             groups.setdefault(c, []).append(b)
         self._groups = [(c, np.array(blocks)) for c, blocks in groups.items()]
 
+    @cached_property
+    def G(self) -> np.ndarray:
+        return unit_generator(self.encode, self.k)
+
     def encode(self, msg) -> np.ndarray:
-        """Message of k_total digits -> codeword of n_cells digits."""
-        B, k = len(self.inners), self.inners[0].k
-        syms = self.spec.from_digits(self.outer.encode_syms(msg).reshape(B, k, self.e))
-        words = np.empty((B, self.inners[0].n), dtype=np.int64)
+        """Message of k digits -> codeword of n digits."""
+        inner = self.inners[0]
+        B, sym = len(self.inners), inner.spec
+        syms = sym.from_digits(self.outer.encode_syms(msg).reshape(B, inner.k, self.e))
+        words = np.empty((B, inner.n), dtype=np.int64)
         for c, blocks in self._groups:
-            words[blocks] = mx.matmul(self.spec, syms[blocks], c.G)
-        out = np.zeros(self.n_cells, dtype=np.int64)
-        out[self._targets] = self.spec.to_digits(words).reshape(B, -1)[self._placed]
+            words[blocks] = mx.matmul(sym, syms[blocks], c.G)
+        out = np.zeros(self.n, dtype=np.int64)
+        out[self._targets] = sym.to_digits(words).reshape(B, -1)[self._placed]
         return out
 
     def decode(self, received) -> np.ndarray:
-        """received: n_cells digits, None marking an erased cell."""
-        B, n, k = len(self.inners), self.inners[0].n, self.inners[0].k
+        """received: n digits, None marking an erased cell."""
+        inner = self.inners[0]
+        B, n, k, sym = len(self.inners), inner.n, inner.k, inner.spec
         # cell -1 (discarded) reads the appended always-erased cell
         known = np.array([v is not None for v in received] + [False])
         vals = np.array([0 if v is None else v for v in received] + [0], dtype=np.int64)
         sym_known = known[self.cells].reshape(B, n, self.e).all(axis=2)
-        syms = self.spec.from_digits(vals[self.cells].reshape(B, n, self.e))
+        syms = sym.from_digits(vals[self.cells].reshape(B, n, self.e))
         msgs = np.zeros((B, k), dtype=np.int64)
         decoded = [False] * B
         for b, (word, ok) in enumerate(zip(syms.tolist(), sym_known.tolist())):
             if sum(ok) < k:
                 continue
             try:
-                msgs[b] = erasure_decode(self.inners[b],
-                                         [v if s else None for v, s in zip(word, ok)])
+                msgs[b] = self.inners[b].decode([v if s else None for v, s in zip(word, ok)])
                 decoded[b] = True
             except DecodingFailure:
                 pass
-        digits = self.spec.to_digits(msgs).reshape(B, self.outer.ell)
+        digits = sym.to_digits(msgs).reshape(B, self.outer.ell)
         return self.outer.decode_digits(digits, decoded)
 
 
@@ -418,7 +454,7 @@ def concatenate(outer: LinearCode, inner: LinearCode) -> LinearCode:
         raise DimensionMismatch("concatenation requires a prime inner alphabet")
     cells = np.arange(outer.n * inner.n).reshape(outer.n, inner.n)
     core = ConcatenatedCode(InterleavedCode(outer), [inner] * outer.n, cells, cells.size)
-    return LinearCode(inner.spec, unit_generator(core.encode, core.k_total))
+    return LinearCode(inner.spec, core.G)
 
 
 def expand_code(C: LinearCode, sub: FieldSpec) -> LinearCode:

@@ -23,7 +23,7 @@ import numpy as np
 from codefam import matrix as mx
 from codefam.code import (LinearCode, UnitCode, corrects_pattern, code_to_text,
                           code_from_text)
-from codefam.gf import FieldSpec, make_field
+from codefam.gf import FieldSpec
 
 
 class EnsembleError(ValueError):

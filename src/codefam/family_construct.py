@@ -20,7 +20,7 @@ import numpy as np
 
 from codefam.code import (ConcatenatedCode, InterleavedCode, LinearCode,
                           InfeasibleAtDeskScale, min_distance, symbol_digit_map,
-                          unit_generator, TooLarge)
+                          TooLarge)
 from codefam.ensemble import ErasureFamily, existence_params
 from codefam.shuffler import Shuffler
 
@@ -129,6 +129,8 @@ def placement(p: ShuffledFamilyParams, z: int) -> PlacementMap:
 def _member_code(p: ShuffledFamilyParams, z: int, ci: int) -> ConcatenatedCode:
     """Member (z, ci): outer symbol i inner-encoded onto the slots of S_i^z.
     Built on first use and kept on p."""
+    if not 0 <= ci < len(p.inner):
+        raise ParamMismatch(f"inner code {ci} not in [0, {len(p.inner)})")
     code = p._members.get((z, ci))
     if code is None:
         code = p._members[z, ci] = ConcatenatedCode(
@@ -159,7 +161,7 @@ def decode_member(p: ShuffledFamilyParams, z: int, ci: int, received) -> np.ndar
 
 
 def member_generator(p: ShuffledFamilyParams, z: int, ci: int) -> np.ndarray:
-    return unit_generator(lambda e: encode_member(p, z, ci, e), p.k_total)
+    return _member_code(p, z, ci).G
 
 
 def build_family(p: ShuffledFamilyParams) -> ErasureFamily:

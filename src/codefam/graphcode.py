@@ -27,8 +27,7 @@ import numpy as np
 
 from codefam import matrix as mx
 from codefam.code import (ConcatenatedCode, InterleavedCode, LinearCode,
-                          InfeasibleAtDeskScale, UnitCode, grid_units, reed_solomon,
-                          unit_generator)
+                          InfeasibleAtDeskScale, UnitCode, grid_units, reed_solomon)
 from codefam.ensemble import ErasureFamily, verify_family
 from codefam.gf import FieldSpec, _prime_power, make_field
 from codefam.shuffler import make_seeded_random
@@ -124,8 +123,7 @@ class BipartiteGraphCode:
     @cached_property
     def unit_code(self) -> UnitCode:
         """Units 0..M-1 are the rows, M..M+N-1 the columns."""
-        return UnitCode(self.q_spec, unit_generator(self.encode_matrix, self.k_total),
-                        grid_units(self.M, self.N))
+        return UnitCode(self.q_spec, self._core.G, grid_units(self.M, self.N))
 
     def generator(self) -> np.ndarray:
         """(k_total, M*N) generator, row-major cell order; cached."""
@@ -356,7 +354,7 @@ class ImprovedNearlyMDSCode(_ColumnSymbols):
                                   for z in range(self.D) for x in range(self.N)])
 
     def generator(self) -> np.ndarray:
-        return unit_generator(self.encode_columns, self.k_total)
+        return self._core.G
 
 
 def build_nearly_mds_improved(q: int, N: int, delta, eta, *, M_b: int = 2,

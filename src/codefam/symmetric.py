@@ -3,12 +3,17 @@ Non-bipartite graph codes on symmetric zero-diagonal matrices.
 
 The outer code is the symmetric tensor square of a base code: codewords
 A^T M A for symmetric message matrices M, with the diagonal blocks then
-truncated to zero.  Concatenation with a small bipartite inner graph
-code lifts each ell x ell block to a D x D block while preserving
-symmetry (the lower triangle carries transposed encodings of the upper
-triangle).  Decoding removes the few super-rows/columns that are too
-damaged for the inner code and finishes with a block-erasure solve on
-the outer code.
+truncated to zero.  The graph code concatenates it with a small square
+bipartite graph code, and concatenations nest: the outer code, read as
+one symbol per off-diagonal ell x ell block (`code.GroupedCode`), is the
+outer half of a `code.ConcatenatedCode` whose inner code is the bipartite
+code's own concatenation core.  Block (i, j) of the N x N codeword
+carries outer block (min(i, j), max(i, j)); blocks below the diagonal
+place their inner codeword transposed, so the codeword is symmetric, and
+the diagonal blocks belong to no block symbol and stay zero.  Decoding
+erases the few super-rows/columns that are too damaged for the inner
+code and makes one decode call on the core, which ends with a
+block-erasure solve on the outer code.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import (LinearCode, DecodingFailure, UnitCode, _solve_erasures,
-                          expand_code, grid_units, reed_solomon, unit_generator)
+from codefam.code import (ConcatenatedCode, GroupedCode, LinearCode, UnitCode,
+                          expand_code, grid_units, reed_solomon)
 from codefam.ensemble import VerifyReport, split_pattern, verify_units
 from codefam.gf import FieldSpec, _is_prime, make_field
 from codefam.graphcode import BipartiteGraphCode
@@ -50,11 +55,6 @@ class MatrixSpaceCode:
         self.side = side
         self.G = G
         self.dim = mx.rank(spec, G)
-
-    def codeword(self, coeffs) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        return mx.matmul(self.spec, coeffs[None, :], self.G)[0].reshape(
-            self.side, self.side)
 
     def basis_matrices(self):
         return [row.reshape(self.side, self.side) for row in self.G]
@@ -176,29 +176,24 @@ class SymmetricGraphCode:
         self.n = outer.n
         self.ell = outer.ell
         self.D_in = D
-        self.N = outer.n * D
-        self.G = unit_generator(
-            lambda e: self._encode_outer_word(outer.space.codeword(e)), outer.dim)
+        self.N = N = outer.n * D
+        e, side = outer.ell, outer.side
+        pairs = [(i, j) for i in range(self.n) for j in range(self.n) if i != j]
+        x, y = np.divmod(np.arange(e * e), e)      # digit (x, y) of an ell x ell block
+        r, c = np.divmod(np.arange(D * D), D)      # cell (r, c) of an inner codeword
+        cols = [(min(i, j) * e + x) * side + max(i, j) * e + y for i, j in pairs]
+        cells = [(i * D + r) * N + j * D + c if i < j else (i * D + c) * N + j * D + r
+                 for i, j in pairs]
+        self._core = ConcatenatedCode(GroupedCode(self.spec, outer.space.G, cols),
+                                      [inner._core] * len(pairs), cells, N * N)
+        self.G = self._core.G
         self.dim = mx.rank(self.spec, self.G)
         if self.dim != outer.dim:
             raise SymmetricCodeError("concatenation lost dimension")
         # unit a is vertex a: erasing it erases row a and column a
-        grid = grid_units(self.N, self.N)
-        vertices = [grid[a] | grid[self.N + a] for a in range(self.N)]
+        grid = grid_units(N, N)
+        vertices = [grid[a] | grid[N + a] for a in range(N)]
         self.unit_code = UnitCode(self.spec, self.G, vertices, dim=self.dim)
-
-    def _encode_outer_word(self, X: np.ndarray) -> np.ndarray:
-        n, e, D = self.n, self.ell, self.D_in
-        out = np.zeros((self.N, self.N), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                blk = self.outer.block(X, i, j)
-                if i <= j:
-                    enc = self.inner.encode_matrix(blk.reshape(-1))
-                else:
-                    enc = self.inner.encode_matrix(blk.T.reshape(-1)).T
-                out[i * D:(i + 1) * D, j * D:(j + 1) * D] = enc
-        return out
 
     def encode(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=np.int64)
@@ -219,47 +214,16 @@ def decode_graph(SGC: SymmetricGraphCode, received, E, F) -> np.ndarray:
     erasures F (subsets of [N]).
 
     Super-rows with more than delta' * D_in erased rows go to E0 (same for
-    columns and F0); every block outside E0 x F0 is inner-decoded and the
-    outer code is solved on the recovered cells.
+    columns and F0); their blocks are erased whole, every other block is
+    inner-decoded and the outer code is solved on the recovered blocks.
     """
-    n, e, D = SGC.n, SGC.ell, SGC.D_in
-    E = frozenset(E)
-    F = frozenset(F)
-    thresh = SGC.outer.delta_prime * D
-    E0 = {i for i in range(n)
-          if sum(1 for a in E if a // D == i) > thresh}
-    F0 = {j for j in range(n)
-          if sum(1 for b in F if b // D == j) > thresh}
-    side = SGC.outer.side
-    known_cols: list[int] = []
-    known_vals: list[int] = []
-    for i in range(n):
-        if i in E0:
-            continue
-        Ei = sorted(a % D for a in E if a // D == i)
-        for j in range(n):
-            if j in F0 or i == j:
-                continue
-            Fj = sorted(b % D for b in F if b // D == j)
-            blk = [[None if (a in Ei or b in Fj or
-                             received[i * D + a][j * D + b] is None)
-                    else int(received[i * D + a][j * D + b])
-                    for b in range(D)] for a in range(D)]
-            try:
-                if i < j:
-                    cell = SGC.inner.decode_matrix(blk, S=Ei, T=Fj).reshape(e, e)
-                else:
-                    blk_t = [[blk[a][b] for a in range(D)] for b in range(D)]
-                    cell = SGC.inner.decode_matrix(
-                        blk_t, S=Fj, T=Ei).reshape(e, e).T
-            except DecodingFailure:
-                continue
-            for x in range(e):
-                for y in range(e):
-                    known_cols.append((i * e + x) * side + (j * e + y))
-                    known_vals.append(int(cell[x, y]))
-    return _solve_erasures(SGC.spec, SGC.outer.space.G, known_cols, known_vals,
-                           "outer block-erasure solve failed")
+    D, thresh = SGC.D_in, SGC.outer.delta_prime * SGC.D_in
+    rows, cols = set(E), set(F)
+    for lost in (rows, cols):
+        heavy = [i for i in range(SGC.n) if sum(a // D == i for a in lost) > thresh]
+        lost.update(i * D + a for i in heavy for a in range(D))
+    return SGC._core.decode([None if a in rows or b in cols else received[a][b]
+                             for a in range(SGC.N) for b in range(SGC.N)])
 
 
 def verify_graph(SGC: SymmetricGraphCode, delta, mode: str = "exhaustive",

@@ -255,16 +255,49 @@ def _bad_matrix(case, path):
 # messages that are no GF(2) message of the bipartite code
 BAD_MESSAGES = {"message-entry": [[1, 2, 0, 1]], "message-erasure": [[1, None, 0, 1]]}
 
+# kind -> (manifest fixture, message length, codeword columns)
+CODE_SHAPES = {"family": ("fam_manifest", 3, 16), "bipartite": ("bp_manifest", 4, 8),
+               "nearly-mds": ("nm_manifest", 12, 12),
+               "nearly-mds-improved": ("nmi_manifest", 16, 12),
+               "symmetric": ("sym_manifest", 10, 16)}
+# a 1 x (columns - 1) received file, and a message one entry too long
+WRONG_SHAPES = [f"{test}-{kind}" for test in ("shape", "length") for kind in CODE_SHAPES]
+
+
+@pytest.fixture(scope="module")
+def nmi_manifest(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "nmi.json"
+    assert cli.main(["build-graph", "--kind", "nearly-mds-improved"]
+                    + NEARLY_MDS_ARGS["nearly-mds-improved"] + ["--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def sym_manifest(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "sym.json"
+    assert cli.main(["build-graph", "--kind", "symmetric", "--q", "2",
+                     "--out", str(path)]) == 0
+    return path
+
 
 @pytest.mark.parametrize("case", [*MANIFEST_FLAGS, "token", "short-row", "few-rows",
-                                  "extra-row", "empty", "entry", "field", *BAD_MESSAGES])
-def test_malformed_file_exit_code(case, bp_manifest, tmp_path, capsys):
-    """A manifest that is not a JSON object, a broken matrix file, or one
-    whose header or entries are not the code's field, exits 4."""
+                                  "extra-row", "empty", "entry", "field", *BAD_MESSAGES,
+                                  *WRONG_SHAPES])
+def test_malformed_file_exit_code(case, bp_manifest, request, tmp_path, capsys):
+    """A manifest that is not a JSON object, a broken matrix file, one
+    whose header or entries are not the code's field, or a received word
+    or message whose shape is not the code's, exits 4."""
     bad = tmp_path / "bad"
     if case in MANIFEST_FLAGS:
         bad.write_text("[]")
         argv = [case, *MANIFEST_FLAGS[case], str(bad)]
+    elif case in WRONG_SHAPES:
+        test, kind = case.split("-", 1)
+        fixture, k, cols = CODE_SHAPES[kind]
+        cli.write_matrix_file(str(bad), f2, [[0] * (cols - 1 if test == "shape" else k + 1)])
+        argv = ["decode" if test == "shape" else "encode", "--code",
+                str(request.getfixturevalue(fixture)), "--in", str(bad),
+                "--out", str(tmp_path / "out")]
     elif case in BAD_MESSAGES:
         cli.write_matrix_file(str(bad), f2, BAD_MESSAGES[case])
         argv = ["encode", "--code", str(bp_manifest), "--in", str(bad),
@@ -302,19 +335,35 @@ DECODE_FLAGS = {
     "family-cols": ("fam_manifest", 3, "--erased-cols", "0"),
     "family-rows": ("fam_manifest", 3, "--erased-rows", "0"),
     "nearly-mds-rows": ("nm_manifest", 12, "--erased-rows", "0"),
+    "family-member-past-end": ("fam_manifest", 3, "--member", "2"),
+    "family-member-negative": ("fam_manifest", 3, "--member", "-1"),
+    "family-z-past-end": ("fam_manifest", 3, "--z", "9"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DECODE_FLAGS))
 def test_decode_flag_exit_code(case, request, tmp_path, capsys):
-    """An erased row or column out of range, or one the code kind has no
-    rows or columns for, exits 4 instead of being ignored."""
+    """An erased row or column out of range, one the code kind has no rows
+    or columns for, or a family member out of range, exits 4 instead of
+    being ignored."""
     fixture, k_total, flag, value = DECODE_FLAGS[case]
     manifest = request.getfixturevalue(fixture)
     cw = _zero_codeword(manifest, k_total, tmp_path)
     capsys.readouterr()
     assert cli.main(["decode", "--code", str(manifest), "--in", str(cw),
                      "--out", str(tmp_path / "dec.txt"), flag, value]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+
+
+@pytest.mark.parametrize("flag,value", [("--member", "2"), ("--member", "-1"),
+                                        ("--z", "9")])
+def test_encode_member_flag_exit_code(flag, value, fam_manifest, tmp_path, capsys):
+    """A family member out of range exits 4 instead of wrapping or crashing."""
+    msg = tmp_path / "msg.txt"
+    cli.write_matrix_file(str(msg), f2, [[1, 0, 1]])
+    assert cli.main(["encode", "--code", str(fam_manifest), "--in", str(msg),
+                     "--out", str(tmp_path / "cw.txt"), flag, value]) == 4
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
 

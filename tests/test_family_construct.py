@@ -108,3 +108,13 @@ def test_build_family_and_indexing(fixture_params):
     G = fc.member_generator(p, 3, 1)
     assert np.array_equal(fam.codes[fc.member_index(p, 3, 1)].G, G)
     assert ens.verify_family(fam).passed
+
+
+@pytest.mark.parametrize("ci", [-1, 2])
+def test_member_code_index_out_of_range(fixture_params, ci):
+    """A negative inner-code index does not wrap to the last code."""
+    msg = np.zeros(fixture_params.k_total, dtype=np.int64)
+    with pytest.raises(fc.ParamMismatch):
+        fc.encode_member(fixture_params, 0, ci, msg)
+    with pytest.raises(fc.ParamMismatch):
+        fc.decode_member(fixture_params, 0, ci, [0] * fixture_params.N)

@@ -3,7 +3,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from codefam import code as cd
 from codefam import ensemble as ens
 from codefam import graphcode as gc
 from codefam import matrix as mx
@@ -118,3 +120,120 @@ def test_verify_graph_budget_and_unknown_mode(sgc):
         sym.verify_graph(sgc, Fraction(1, 16), budget=16)  # 17 patterns
     with pytest.raises(ens.EnsembleError):
         sym.verify_graph(sgc, Fraction(1, 16), mode="sampled", rng_seed=1)
+
+
+# ----------------------------------------------------------------------
+# The block-by-block encoder and decoder, kept as the reference for the
+# concatenation core the code now encodes and decodes through.
+# ----------------------------------------------------------------------
+
+def oracle_encode_outer_word(SGC, X):
+    """Each off-diagonal ell x ell block of the outer word X encoded by the
+    inner code; blocks below the diagonal encode their transpose and are
+    placed transposed."""
+    n, D = SGC.n, SGC.D_in
+    out = np.zeros((SGC.N, SGC.N), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            blk = SGC.outer.block(X, i, j)
+            if i <= j:
+                enc = SGC.inner.encode_matrix(blk.reshape(-1))
+            else:
+                enc = SGC.inner.encode_matrix(blk.T.reshape(-1)).T
+            out[i * D:(i + 1) * D, j * D:(j + 1) * D] = enc
+    return out
+
+
+def oracle_generator(SGC):
+    space = SGC.outer.space
+    return cd.unit_generator(lambda e: oracle_encode_outer_word(
+        SGC, mx.matmul(SGC.spec, e[None, :], space.G)[0].reshape(space.side, space.side)),
+        space.dim)
+
+
+def oracle_decode_graph(SGC, received, E, F):
+    """Inner-decode every block outside the too-damaged super-rows E0 and
+    super-columns F0 (transposing blocks below the diagonal), then solve
+    the outer code on the recovered cells."""
+    n, e, D = SGC.n, SGC.ell, SGC.D_in
+    E = frozenset(E)
+    F = frozenset(F)
+    thresh = SGC.outer.delta_prime * D
+    E0 = {i for i in range(n)
+          if sum(1 for a in E if a // D == i) > thresh}
+    F0 = {j for j in range(n)
+          if sum(1 for b in F if b // D == j) > thresh}
+    side = SGC.outer.side
+    known_cols: list[int] = []
+    known_vals: list[int] = []
+    for i in range(n):
+        if i in E0:
+            continue
+        Ei = sorted(a % D for a in E if a // D == i)
+        for j in range(n):
+            if j in F0 or i == j:
+                continue
+            Fj = sorted(b % D for b in F if b // D == j)
+            blk = [[None if (a in Ei or b in Fj or
+                             received[i * D + a][j * D + b] is None)
+                    else int(received[i * D + a][j * D + b])
+                    for b in range(D)] for a in range(D)]
+            try:
+                if i < j:
+                    cell = SGC.inner.decode_matrix(blk, S=Ei, T=Fj).reshape(e, e)
+                else:
+                    blk_t = [[blk[a][b] for a in range(D)] for b in range(D)]
+                    cell = SGC.inner.decode_matrix(
+                        blk_t, S=Fj, T=Ei).reshape(e, e).T
+            except cd.DecodingFailure:
+                continue
+            for x in range(e):
+                for y in range(e):
+                    known_cols.append((i * e + x) * side + (j * e + y))
+                    known_vals.append(int(cell[x, y]))
+    return cd._solve_erasures(SGC.spec, SGC.outer.space.G, known_cols, known_vals,
+                              "outer block-erasure solve failed")
+
+
+@pytest.fixture(scope="module", params=["q2", "q3"])
+def any_sgc(request, sgc):
+    if request.param == "q2":
+        return sgc
+    outer = sym.build_outer_graph(3, 3, 2, Fraction(1, 4))
+    inner = gc.build_bipartite(3, 4, 4, Fraction(1, 4), Fraction(1, 4),
+                               Fraction(1, 4), rng_seed=2, ell=2, ell0=2,
+                               k_row=2, family_size=4, eps_fam=Fraction(1, 4))
+    return sym.concat_graph(outer, inner)
+
+
+def test_generator_matches_block_oracle(any_sgc):
+    assert np.array_equal(any_sgc.G, oracle_generator(any_sgc))
+
+
+def _outcome(decode, *args):
+    try:
+        return decode(*args)
+    except cd.DecodingFailure as exc:
+        return exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_decode_graph_matches_block_oracle(any_sgc, data):
+    """Same message or the same DecodingFailure, within the design radius
+    and beyond it."""
+    N, q = any_sgc.N, any_sgc.spec.q
+    E = data.draw(st.sets(st.integers(0, N - 1), max_size=6))
+    F = data.draw(st.sets(st.integers(0, N - 1), max_size=6))
+    lost = data.draw(st.sets(st.integers(0, N * N - 1), max_size=N * N // 4))
+    msg = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=any_sgc.dim,
+                                      max_size=any_sgc.dim)), dtype=np.int64)
+    X = any_sgc.encode(msg)
+    received = [[None if a * N + b in lost else int(X[a, b]) for b in range(N)]
+                for a in range(N)]
+    want = _outcome(oracle_decode_graph, any_sgc, received, E, F)
+    got = _outcome(sym.decode_graph, any_sgc, received, E, F)
+    if isinstance(want, cd.DecodingFailure):
+        assert isinstance(got, cd.DecodingFailure) and str(got) == str(want)
+    else:
+        assert np.array_equal(got, want) and np.array_equal(got, msg)

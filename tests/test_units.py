@@ -122,47 +122,70 @@ def draw_code(data, spec, k, n):
     return cd.LinearCode(spec, G)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_concatenated_code_matches_block_oracle(data):
-    """decode succeeds exactly when the outer code corrects the failed blocks.
-
-    A block fails when its inner code cannot correct its erased symbols,
-    a symbol being erased when any of its digits is discarded or erased.
-    """
-    p, e, r = (data.draw(st.sampled_from(v)) for v in ([2, 3], [1, 2], [1, 2]))
-    n_in = data.draw(st.integers(1, 3))
-    k_in = data.draw(st.integers(1, min(2, n_in)))
-    assume(k_in * e % r == 0)
-    inner_spec = make_field(p, e)
-    pool = [draw_code(data, inner_spec, k_in, n_in)
-            for _ in range(data.draw(st.integers(1, 2)))]
+def draw_concatenation(data, p, pool):
+    """A concatenation of a random interleaved outer code with codes drawn
+    from `pool` (one shape), some digits discarded and some cells in no block."""
+    inner = pool[0]
+    e = inner.spec.m
+    r = data.draw(st.sampled_from([r for r in (1, 2) if inner.k * e % r == 0]))
     n_out = data.draw(st.integers(1, 3))
-    base_spec = make_field(p, k_in * e // r)
+    base_spec = make_field(p, inner.k * e // r)
     base = draw_code(data, base_spec, data.draw(st.integers(1, min(2, n_out))), n_out)
-    outer = cd.InterleavedCode(base, r)
     inners = [data.draw(st.sampled_from(pool)) for _ in range(n_out)]
-
-    slots = n_out * n_in * e
+    slots = n_out * inner.n * e
     n_cells = slots + data.draw(st.integers(0, 2))
     perm = data.draw(st.permutations(range(n_cells)))
     dropped = data.draw(st.sets(st.integers(0, slots - 1)))
     cells = np.array([-1 if s in dropped else perm[s] for s in range(slots)])
-    core = cd.ConcatenatedCode(outer, inners, cells.reshape(n_out, -1), n_cells)
+    return cd.ConcatenatedCode(cd.InterleavedCode(base, r), inners,
+                               cells.reshape(n_out, -1), n_cells)
 
-    msg = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=core.k_total,
-                                      max_size=core.k_total)), dtype=np.int64)
+
+def block_oracle_fails(code, erased) -> bool:
+    """Whether decoding fails with the cells (or positions) in `erased` lost.
+
+    A LinearCode fails when its rank criterion does.  A block of a
+    concatenation fails when its inner oracle fails on its erased symbols,
+    a symbol being erased when any of its digits is discarded or erased,
+    and the concatenation fails when its outer code cannot correct the
+    failed blocks."""
+    if isinstance(code, cd.LinearCode):
+        return not cd.corrects_pattern(code, sorted(erased))
+    lost = np.array([c < 0 or c in erased for c in code.cells.reshape(-1).tolist()])
+    lost = lost.reshape(len(code.inners), -1, code.e).any(axis=2)
+    failed = [b for b, inner in enumerate(code.inners)
+              if block_oracle_fails(inner, set(np.flatnonzero(lost[b]).tolist()))]
+    return not cd.corrects_pattern(code.outer.base, failed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_concatenated_code_matches_block_oracle(data):
+    """decode succeeds exactly when the outer code corrects the failed blocks,
+    also when the inner code is itself a concatenation."""
+    p = data.draw(st.sampled_from([2, 3]))
+    if data.draw(st.booleans()):  # nested: the inner code is a concatenation
+        leaf_spec = make_field(p, data.draw(st.sampled_from([1, 2])))
+        leaf = [draw_code(data, leaf_spec, 1, data.draw(st.integers(1, 2)))]
+        pool = [draw_concatenation(data, p, leaf)]
+    else:
+        e = data.draw(st.sampled_from([1, 2]))
+        n_in = data.draw(st.integers(1, 3))
+        k_in = data.draw(st.integers(1, min(2, n_in)))
+        pool = [draw_code(data, make_field(p, e), k_in, n_in)
+                for _ in range(data.draw(st.integers(1, 2)))]
+    core = draw_concatenation(data, p, pool)
+
+    msg = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=core.k,
+                                      max_size=core.k)), dtype=np.int64)
     cw = core.encode(msg)
-    G = cd.unit_generator(core.encode, core.k_total)
-    assert np.array_equal(cw, mx.matmul(make_field(p, 1), msg[None, :], G)[0])
-    assert not cw[sorted(set(range(n_cells)) - set(cells.tolist()))].any()
+    assert np.array_equal(core.G, cd.unit_generator(core.encode, core.k))
+    assert np.array_equal(cw, mx.matmul(core.spec, msg[None, :], core.G)[0])
+    assert not cw[sorted(set(range(core.n)) - set(core.cells.reshape(-1).tolist()))].any()
 
-    erased = data.draw(st.sets(st.integers(0, n_cells - 1)))
-    lost = np.array([c < 0 or c in erased for c in cells.tolist()]).reshape(n_out, n_in, e)
-    failed = [b for b in range(n_out)
-              if not cd.corrects_pattern(inners[b], np.flatnonzero(lost[b].any(axis=1)))]
+    erased = data.draw(st.sets(st.integers(0, core.n - 1)))
     received = [None if c in erased else int(v) for c, v in enumerate(cw)]
-    if cd.corrects_pattern(base, failed):
+    if not block_oracle_fails(core, erased):
         assert np.array_equal(core.decode(received), msg)
     else:
         with pytest.raises(cd.DecodingFailure):
