@@ -11,6 +11,7 @@ malformed input or a bad command line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -140,40 +141,68 @@ def read_matrix_file(path: str, spec=None):
 # recorded parameters rather than serialized wholesale).
 # ----------------------------------------------------------------------
 
+# build-graph flags: (flag, manifest parameter, type, default)
+GRAPH_FLAGS = [
+    ("--M", "M", int, 4), ("--N", "N", int, 8), ("--n", "n", int, 4),
+    ("--M_b", "M_b", int, 2), ("--D", "D", int, 4), ("--D_in", "D_in", int, 4),
+    ("--drow", "delta_row", _frac, Fraction(0)), ("--dcol", "delta_col", _frac, Fraction(0)),
+    ("--delta", "delta", _frac, Fraction(0)),
+    ("--dprime", "delta_prime", _frac, Fraction(1, 4)), ("--eta", "eta", _frac, Fraction(1, 4)),
+    ("--ell", "ell", int, 2), ("--ell0", "ell0", int, 2), ("--inner-ell0", "inner_ell0", int, 2),
+    ("--k-row", "k_row", int, 2), ("--inner-k-row", "inner_k_row", int, 2),
+    ("--family-size", "family_size", int, 4), ("--eps-fam", "eps_fam", _frac, Fraction(1, 4)),
+    ("--seed", "rng_seed", int, 0),
+]
+_FRACTIONS = {name for _, name, typ, _ in GRAPH_FLAGS if typ is _frac}
+
+
+def _exactly(n: int, delta) -> tuple[int, int, int]:
+    """The pattern axis of every floor(delta * n) of n units."""
+    f = math.floor(delta * n)
+    return n, f, f
+
+
+# kind -> (builder, the manifest parameters it takes besides q, its rate
+# bound, and the pattern axes verify-graph scans at erasure fraction delta:
+# rows with columns, up to delta*N vertices, or delta*N column symbols).
+# Builders look their function up at call time, as main does the handlers.
+GRAPH_KINDS = {
+    "bipartite": (
+        lambda **p: gc.build_bipartite(**p),
+        "M N delta_row delta_col eta rng_seed ell ell0 k_row family_size eps_fam".split(),
+        lambda p: {"capacity_bound": (1 - p["delta_row"]) * (1 - p["delta_col"])},
+        lambda c, delta: [_exactly(c.M, c.delta_row), _exactly(c.N, c.delta_col)]),
+    "symmetric": (
+        lambda **p: sym.build_symmetric(**p),
+        "n ell delta_prime D_in eta rng_seed inner_ell0 inner_k_row eps_fam".split(),
+        lambda p: {"delta": p["delta_prime"] ** 2},
+        lambda c, delta: [(c.N, 0, math.floor(delta * c.N))]),
+    "nearly-mds": (
+        lambda **p: gc.build_nearly_mds(**p),
+        "N M delta eta rng_seed ell ell0 k_row eps_fam".split(),
+        lambda p: {"singleton_bound": 1 - p["delta"]},
+        lambda c, delta: [_exactly(c.N, delta)]),
+    "nearly-mds-improved": (
+        lambda **p: gc.build_nearly_mds_improved(**p),
+        "N M_b D delta eta rng_seed".split(),
+        lambda p: {"singleton_bound": 1 - p["delta"]},
+        lambda c, delta: [_exactly(c.N, delta)]),
+}
+
+
 def _rebuild(man: dict):
     kind = man["kind"]
     p = man["params"]
-    if kind == "bipartite":
-        return gc.build_bipartite(
-            p["q"], p["M"], p["N"], _frac(p["delta_row"]), _frac(p["delta_col"]),
-            _frac(p["eta"]), rng_seed=p["rng_seed"], ell=p["ell"], ell0=p["ell0"],
-            k_row=p["k_row"], family_size=p["family_size"],
-            eps_fam=_frac(p["eps_fam"]))
-    if kind == "nearly-mds":
-        return gc.build_nearly_mds(
-            p["q"], p["N"], _frac(p["delta"]), _frac(p["eta"]), M=p["M"],
-            rng_seed=p["rng_seed"], ell=p["ell"], ell0=p["ell0"],
-            k_row=p["k_row"], eps_fam=_frac(p["eps_fam"]))
-    if kind == "nearly-mds-improved":
-        return gc.build_nearly_mds_improved(
-            p["q"], p["N"], _frac(p["delta"]), _frac(p["eta"]),
-            M_b=p["M_b"], D=p["D"], rng_seed=p["rng_seed"])
-    if kind == "symmetric":
-        outer = sym.build_outer_graph(p["q"], p["n"], p["ell"],
-                                      _frac(p["delta_prime"]))
-        inner = gc.build_bipartite(
-            p["q"], p["D_in"], p["D_in"], _frac(p["delta_prime"]),
-            _frac(p["delta_prime"]), _frac(p["eta"]), rng_seed=p["rng_seed"],
-            ell=p["ell"], ell0=p["inner_ell0"], k_row=p["inner_k_row"],
-            family_size=p["D_in"], eps_fam=_frac(p["eps_fam"]))
-        return sym.concat_graph(outer, inner)
     if kind == "family":
         outer = cd.code_from_text(man["outer"])
         inner = ens.family_from_manifest(man["inner"])
         shuf = sf.shuffler_from_text(man["shuffler"])
         return fc.ShuffledFamilyParams(outer, inner, shuf, _frac(p["delta"]),
                                        _frac(p["eta"]), _frac(p["epsilon"]))
-    raise ValueError(f"unknown manifest kind {kind!r}")
+    if kind not in GRAPH_KINDS:
+        raise ValueError(f"unknown manifest kind {kind!r}")
+    build, names, _, _ = GRAPH_KINDS[kind]
+    return build(q=p["q"], **{n: _frac(p[n]) if n in _FRACTIONS else p[n] for n in names})
 
 
 # ----------------------------------------------------------------------
@@ -243,64 +272,31 @@ def cmd_verify_family(a) -> int:
 
 
 def cmd_build_graph(a) -> int:
-    if a.kind == "bipartite":
-        params = {"q": a.q, "M": a.M, "N": a.N,
-                  "delta_row": str(Fraction(a.drow)),
-                  "delta_col": str(Fraction(a.dcol)),
-                  "eta": str(Fraction(a.eta)), "rng_seed": a.seed,
-                  "ell": a.ell, "ell0": a.ell0, "k_row": a.k_row,
-                  "family_size": a.family_size,
-                  "eps_fam": str(Fraction(a.eps_fam))}
-        bounds = {"capacity_bound": str((1 - Fraction(a.drow)) * (1 - Fraction(a.dcol)))}
-    elif a.kind == "nearly-mds":
-        params = {"q": a.q, "N": a.N, "M": a.M,
-                  "delta": str(Fraction(a.delta)),
-                  "eta": str(Fraction(a.eta)), "rng_seed": a.seed,
-                  "ell": a.ell, "ell0": a.ell0, "k_row": a.k_row,
-                  "eps_fam": str(Fraction(a.eps_fam))}
-        bounds = {"singleton_bound": str(1 - Fraction(a.delta))}
-    elif a.kind == "nearly-mds-improved":
-        params = {"q": a.q, "N": a.N, "M_b": a.M_b, "D": a.D,
-                  "delta": str(Fraction(a.delta)),
-                  "eta": str(Fraction(a.eta)), "rng_seed": a.seed}
-        bounds = {"singleton_bound": str(1 - Fraction(a.delta))}
-    else:  # symmetric
-        params = {"q": a.q, "n": a.n, "ell": a.ell,
-                  "delta_prime": str(Fraction(a.dprime)),
-                  "D_in": a.D_in, "eta": str(Fraction(a.eta)),
-                  "rng_seed": a.seed, "inner_ell0": a.inner_ell0,
-                  "inner_k_row": a.inner_k_row,
-                  "eps_fam": str(Fraction(a.eps_fam))}
-        bounds = {"delta": str(Fraction(a.dprime) ** 2)}
+    _, names, bound, _ = GRAPH_KINDS[a.kind]
+    params = {"q": a.q}
+    for flag, name, _, default in GRAPH_FLAGS:
+        given = getattr(a, name)
+        if name in names:
+            params[name] = default if given is None else given
+        elif given is not None:
+            raise InputError(f"{flag}: a {a.kind} code does not take it")
+    man = {"kind": a.kind, **{k: str(v) for k, v in bound(params).items()},
+           "params": {k: str(v) if k in _FRACTIONS else v for k, v in params.items()}}
     # the code is built from the manifest, exactly as later commands rebuild it
-    man = {"kind": a.kind, "params": params, **bounds}
     man["rate"] = str(_rebuild(man).rate)
     _write_json(a.out, man)
     return EXIT_PASS
 
 
-def _graph_patterns(kind: str, code, delta: Fraction):
-    """A graph code's erasure units and the pattern axes verify-graph scans:
-    rows with columns, up to delta*N vertices, or delta*N column symbols."""
-    if kind == "bipartite":
-        s = math.floor(code.delta_row * code.M)
-        t = math.floor(code.delta_col * code.N)
-        return code.unit_code, [(code.M, s, s), (code.N, t, t)]
-    if kind == "symmetric":
-        return code.unit_code, [(code.N, 0, math.floor(delta * code.N))]
-    if kind in ("nearly-mds", "nearly-mds-improved"):
-        f = math.floor(delta * code.N)
-        return code.unit_code, [(code.N, f, f)]
-    raise InputError(f"manifest kind {kind!r} is not a graph code")
-
-
 def cmd_verify_graph(a) -> int:
     man = _read_json(a.code)
     code = _rebuild(man)
+    if man["kind"] not in GRAPH_KINDS:
+        raise InputError(f"manifest kind {man['kind']!r} is not a graph code")
     delta = a.delta if a.delta is not None else Fraction(
         man.get("delta") or man["params"].get("delta", "0"))
-    units, axes = _graph_patterns(man["kind"], code, delta)
-    rep = ens.verify_units(units, axes, a.mode, a.budget, a.seed)
+    axes = GRAPH_KINDS[man["kind"]][3](code, delta)
+    rep = ens.verify_units(code.unit_code, axes, a.mode, a.budget, a.seed)
     witness = ens.split_pattern(rep.worst_pattern, axes)
     out = {"passed": rep.passed, "patterns_tested": rep.patterns_tested,
            "witness": witness if len(witness) > 1 else witness[0],
@@ -315,92 +311,60 @@ def cmd_verify_graph(a) -> int:
     return EXIT_PASS if rep.passed else EXIT_VERIFY_FAIL
 
 
-def _layout(kind: str, code):
-    """A code's field, message length, and the rows and columns of its codewords."""
-    if kind == "family":
-        return code.q_spec, code.k_total, 1, code.N
-    if kind == "symmetric":
-        return code.spec, code.dim, code.N, code.N
-    if kind == "bipartite":
-        return code.q_spec, code.k_total, code.M, code.N
-    return code.q_spec, code.k_total, code.M_rows, code.N
+def _grid_code(a, man) -> cd.GridCode:
+    """The code that --code names; for a family, the member --z and --member name."""
+    code = _rebuild(man)
+    if man["kind"] != "family":
+        for flag, v in (("--z", a.z), ("--member", a.member)):
+            if v is not None:
+                raise InputError(f"{flag}: a {man['kind']} code has no members")
+        return code
+    z, ci = a.z or 0, a.member or 0
+    for flag, v, n in (("--z", z, code.D), ("--member", ci, len(code.inner))):
+        if not 0 <= v < n:
+            raise InputError(f"{flag}: {v} not in [0, {n})")
+    return fc.member(code, z, ci)
 
 
-def _erasure_units(kind: str, code):
-    """How many rows and columns decode's --erased-rows and --erased-cols
-    may name; None where the kind has no such units."""
-    if kind == "bipartite":
-        return code.M, code.N
-    if kind == "symmetric":
-        return code.N, code.N
-    if kind in ("nearly-mds", "nearly-mds-improved"):
-        return None, code.N
-    return None, None
+def _read_grid(path: str, code: cd.GridCode, shape, what: str):
+    """A matrix file in the code's field with the given shape."""
+    rows = read_matrix_file(path, code.core.spec)
+    if (len(rows), len(rows[0]) if rows else 0) != shape:
+        raise InputError(f"{path}: {what} is {shape[0]} x {shape[1]}")
+    return rows
 
 
-def _units(text: str, n: int | None, flag: str, kind: str) -> list[int]:
+def _units(text: str, code: cd.GridCode, axis: str, flag: str) -> list[int]:
+    """The rows or the columns (axis) that an erasure flag names."""
     units = _ints(text)
-    if units and n is None:
-        raise InputError(f"{flag}: a {kind} code has no such units")
+    if units and axis not in code.axes:
+        raise InputError(f"{flag}: the code has no erasable {axis}")
+    n = code.shape[0 if axis == "rows" else 1]
     if any(not 0 <= u < n for u in units):
         raise InputError(f"{flag}: {units} not all in [0, {n})")
     return units
 
 
-def _member(a, fam) -> tuple[int, int]:
-    """The family member that --z and --member name."""
-    for flag, v, n in (("--z", a.z, fam.D), ("--member", a.member, len(fam.inner))):
-        if not 0 <= v < n:
-            raise InputError(f"{flag}: {v} not in [0, {n})")
-    return a.z, a.member
-
-
 def cmd_encode(a) -> int:
-    man = _read_json(a.code)
-    kind = man["kind"]
-    code = _rebuild(man)
-    spec, k, _, _ = _layout(kind, code)
-    rows = read_matrix_file(a.infile, spec)
-    if any(v is None for row in rows for v in row):
+    code = _grid_code(a, _read_json(a.code))
+    rows = _read_grid(a.infile, code, (1, code.core.k), "a message")
+    if None in rows[0]:
         raise InputError(f"{a.infile}: a message has no erased entries")
-    msg = np.array([v for row in rows for v in row], dtype=np.int64)
-    if len(msg) != k:
-        raise InputError(f"{a.infile}: a message of {len(msg)} entries, the code takes {k}")
-    if kind == "family":
-        out = [fc.encode_member(code, *_member(a, code), msg)]
-    elif kind == "bipartite":
-        out = code.encode_matrix(msg)
-    elif kind in ("nearly-mds", "nearly-mds-improved"):
-        out = code.encode_columns(msg)
-    else:
-        out = code.encode(msg)
-    write_matrix_file(a.out, spec, [list(r) for r in out])
+    out = code.encode(np.array(rows[0], dtype=np.int64))
+    write_matrix_file(a.out, code.core.spec, [list(r) for r in out])
     return EXIT_PASS
 
 
 def cmd_decode(a) -> int:
-    man = _read_json(a.code)
-    kind = man["kind"]
-    code = _rebuild(man)
-    spec, _, *shape = _layout(kind, code)
-    rows = read_matrix_file(a.infile, spec)
-    if [len(rows), len(rows[0]) if rows else 0] != shape:
-        raise InputError(f"{a.infile}: a {kind} codeword is {shape[0]} x {shape[1]}")
-    n_rows, n_cols = _erasure_units(kind, code)
-    erased_rows = _units(a.erased_rows, n_rows, "--erased-rows", kind)
-    erased_cols = _units(a.erased_cols, n_cols, "--erased-cols", kind)
+    code = _grid_code(a, _read_json(a.code))
+    rows = _read_grid(a.infile, code, code.shape, "a codeword")
+    S = _units(a.erased_rows, code, "rows", "--erased-rows")
+    T = _units(a.erased_cols, code, "cols", "--erased-cols")
     try:
-        if kind == "family":
-            msg = fc.decode_member(code, *_member(a, code), rows[0])
-        elif kind == "bipartite":
-            msg = code.decode_matrix(rows, S=erased_rows, T=erased_cols)
-        elif kind in ("nearly-mds", "nearly-mds-improved"):
-            msg = code.decode_columns(rows, T=erased_cols)
-        else:
-            msg = sym.decode_graph(code, rows, erased_rows, erased_cols)
+        msg = code.decode(rows, S, T)
     except cd.DecodingFailure as exc:
         return _error(exc, EXIT_VERIFY_FAIL)
-    write_matrix_file(a.out, spec, [list(msg)])
+    write_matrix_file(a.out, code.core.spec, [list(msg)])
     return EXIT_PASS
 
 
@@ -469,6 +433,7 @@ def cmd_report(a) -> int:
 
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="codefam")
     ap.add_argument("--workers", type=int,
@@ -489,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="seeded_random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_family)
 
     p = sub.add_parser("verify-family")
     p.add_argument("--manifest", required=True)
@@ -498,33 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10 ** 7)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify_family)
 
     p = sub.add_parser("build-graph")
-    p.add_argument("--kind", choices=["bipartite", "symmetric", "nearly-mds",
-                                      "nearly-mds-improved"], required=True)
+    p.add_argument("--kind", choices=list(GRAPH_KINDS), required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--M", type=int, default=4)
-    p.add_argument("--N", type=int, default=8)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--M_b", type=int, default=2)
-    p.add_argument("--D", type=int, default=4)
-    p.add_argument("--D_in", type=int, default=4)
-    p.add_argument("--drow", type=_frac, default=Fraction(0))
-    p.add_argument("--dcol", type=_frac, default=Fraction(0))
-    p.add_argument("--delta", type=_frac, default=Fraction(0))
-    p.add_argument("--dprime", type=_frac, default=Fraction(1, 4))
-    p.add_argument("--eta", type=_frac, default=Fraction(1, 4))
-    p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--ell0", type=int, default=2)
-    p.add_argument("--inner-ell0", type=int, default=2)
-    p.add_argument("--k-row", type=int, default=2)
-    p.add_argument("--inner-k-row", type=int, default=2)
-    p.add_argument("--family-size", type=int, default=4)
-    p.add_argument("--eps-fam", type=_frac, default=Fraction(1, 4))
-    p.add_argument("--seed", type=int, default=0)
+    for flag, name, typ, _ in GRAPH_FLAGS:  # None: not given, the kind's default applies
+        p.add_argument(flag, dest=name, type=typ, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("verify-graph")
     p.add_argument("--code", required=True)
@@ -534,50 +478,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10 ** 5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify_graph)
 
-    p = sub.add_parser("encode")
-    p.add_argument("--code", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--z", type=int, default=0)
-    p.add_argument("--member", type=int, default=0)
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("decode")
-    p.add_argument("--code", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--z", type=int, default=0)
-    p.add_argument("--member", type=int, default=0)
-    p.add_argument("--erased-rows", default="")
+    for name in ("encode", "decode"):
+        p = sub.add_parser(name)
+        p.add_argument("--code", required=True)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--z", type=int, default=None)  # None: not given
+        p.add_argument("--member", type=int, default=None)
+    p.add_argument("--erased-rows", default="")  # decode only
     p.add_argument("--erased-cols", default="")
-    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("bridge")
     p.add_argument("--family", required=True)
     p.add_argument("--as", dest="role", choices=["extractor", "condenser"],
                    required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bridge)
 
     p = sub.add_parser("check-source")
     p.add_argument("--bridge", required=True)
     p.add_argument("--free", default="")
     p.add_argument("--epsilon", type=_frac, default=Fraction(1))
     p.add_argument("--out")
-    p.set_defaults(func=cmd_check_source)
 
     p = sub.add_parser("report")
     p.add_argument("--manifest", required=True)
-    p.set_defaults(func=cmd_report)
     return ap
 
 
 def main(argv=None) -> int:
     try:
         a = build_parser().parse_args(argv)
-        return a.func(a)
+        # the parser is built once; the handler is looked up by name on each call
+        return globals()["cmd_" + a.cmd.replace("-", "_")](a)
     except (OSError, json.JSONDecodeError, InputError) as exc:
         return _error(exc, EXIT_IO)
     except ValueError as exc:

@@ -443,6 +443,51 @@ class ConcatenatedCode:
         return self.outer.decode_digits(digits, decoded)
 
 
+class GridCode:
+    """A code whose codewords are `shape` = (rows, cols) matrices of F_p
+    digits, cell (i, j) being digit i * cols + j of its core, a
+    ConcatenatedCode.  `axes` names which of "rows" and "cols" decoding
+    may erase whole; `erase` is the hook a kind uses to widen the erased
+    rows and columns before the core decodes."""
+
+    def __init__(self, core: ConcatenatedCode, shape: tuple[int, int], axes: tuple[str, ...]):
+        self.core = core
+        self.shape = shape
+        self.axes = axes
+
+    @cached_property
+    def unit_code(self) -> UnitCode:
+        """The erasable rows (when "rows" is an axis), then columns, as units."""
+        rows, _ = self.shape
+        units = grid_units(*self.shape)
+        by_axis = {"rows": units[:rows], "cols": units[rows:]}
+        return UnitCode(self.core.spec, self.core.G, [u for a in self.axes for u in by_axis[a]])
+
+    def generator(self) -> np.ndarray:
+        """(k, rows * cols) generator, row-major cell order; cached."""
+        return self.core.G
+
+    def encode(self, msg) -> np.ndarray:
+        """Message of core.k digits -> rows x cols codeword."""
+        msg = np.asarray(msg, dtype=np.int64)
+        if msg.shape != (self.core.k,):
+            raise LengthMismatch(f"message shape {msg.shape} != ({self.core.k},)")
+        return self.core.encode(msg).reshape(self.shape)
+
+    def erase(self, S: frozenset, T: frozenset):
+        """The rows and columns to erase when rows S and columns T are erased."""
+        return S, T
+
+    def decode(self, received, S=(), T=()) -> np.ndarray:
+        """received: rows x cols, None marking an erased cell; S/T: erased rows/cols."""
+        rows, cols = self.shape
+        if len(received) != rows or any(len(r) != cols for r in received):
+            raise LengthMismatch(f"received word is not {rows} x {cols}")
+        S, T = self.erase(frozenset(S), frozenset(T))
+        return self.core.decode([None if i in S or j in T else received[i][j]
+                                 for i in range(rows) for j in range(cols)])
+
+
 def concatenate(outer: LinearCode, inner: LinearCode) -> LinearCode:
     """Forney concatenation: outer over F_{q^ell}, inner [L, ell] over F_q.
 

@@ -8,7 +8,10 @@ inner [L, ell] code; block i's inner symbols land on the positions of
 S_i^z in ascending order.  Overfull blocks freeze their surplus
 positions to zero; underfull blocks discard their surplus inner
 symbols.  The family has one member per (seed, inner-code) pair and
-rate exactly R_inner * R_outer.
+rate exactly R_inner * R_outer.  Member (z, ci) is `member(p, z, ci)`,
+a `code.GridCode` whose codewords are 1 x N matrices and whose decoding
+erases no whole row or column (erasures are marked cell by cell);
+`encode_member` and `decode_member` read and write plain length-N words.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from codefam.code import (ConcatenatedCode, InterleavedCode, LinearCode,
+from codefam.code import (ConcatenatedCode, GridCode, InterleavedCode, LinearCode,
                           InfeasibleAtDeskScale, min_distance, symbol_digit_map,
                           TooLarge)
 from codefam.ensemble import ErasureFamily, existence_params
@@ -63,7 +66,7 @@ class ShuffledFamilyParams:
         self.L = L
         self.N = sh.N
         self.D = sh.D
-        self._members: dict[tuple[int, int], ConcatenatedCode] = {}
+        self._members: dict[tuple[int, int], GridCode] = {}
 
     @property
     def k_total(self) -> int:
@@ -126,42 +129,33 @@ def placement(p: ShuffledFamilyParams, z: int) -> PlacementMap:
     return PlacementMap(p.sh, p.L, z)
 
 
-def _member_code(p: ShuffledFamilyParams, z: int, ci: int) -> ConcatenatedCode:
-    """Member (z, ci): outer symbol i inner-encoded onto the slots of S_i^z.
-    Built on first use and kept on p."""
+def member(p: ShuffledFamilyParams, z: int, ci: int) -> GridCode:
+    """Member (z, ci), a 1 x N GridCode: outer symbol i inner-encoded onto
+    the slots of S_i^z.  Decoding inner-decodes each block against its
+    missing slots (discarded slots count as erased), treats inner failures
+    as outer erasures, then outer-decodes.  Built on first use and kept on p."""
     if not 0 <= ci < len(p.inner):
         raise ParamMismatch(f"inner code {ci} not in [0, {len(p.inner)})")
     code = p._members.get((z, ci))
     if code is None:
-        code = p._members[z, ci] = ConcatenatedCode(
+        code = p._members[z, ci] = GridCode(ConcatenatedCode(
             InterleavedCode(p.outer), [p.inner.codes[ci]] * p.M,
-            placement(p, z).slot_to_pos, p.N)
+            placement(p, z).slot_to_pos, p.N), (1, p.N), ())
     return code
 
 
 def encode_member(p: ShuffledFamilyParams, z: int, ci: int, msg) -> np.ndarray:
-    """Encode a q-ary message of length k_total by member (z, ci)."""
-    msg = np.asarray(msg, dtype=np.int64)
-    if msg.shape != (p.k_total,):
-        raise ParamMismatch(f"message length {msg.shape} != {p.k_total}")
-    return _member_code(p, z, ci).encode(msg)
+    """`member(p, z, ci).encode(msg)` as one length-N word."""
+    return member(p, z, ci).encode(msg)[0]
 
 
 def decode_member(p: ShuffledFamilyParams, z: int, ci: int, received) -> np.ndarray:
-    """Decode a length-N word with None marking erasures.
-
-    Inner-decodes each block against its missing slots (discarded slots
-    count as erased), treats inner failures as outer erasures, then
-    outer-decodes.  Raises DecodingFailure when the outer pattern is
-    uncorrectable.
-    """
-    if len(received) != p.N:
-        raise ParamMismatch(f"received length {len(received)} != N = {p.N}")
-    return _member_code(p, z, ci).decode(received)
+    """`member(p, z, ci).decode` of one length-N word, None marking erasures."""
+    return member(p, z, ci).decode([received])
 
 
 def member_generator(p: ShuffledFamilyParams, z: int, ci: int) -> np.ndarray:
-    return _member_code(p, z, ci).G
+    return member(p, z, ci).generator()
 
 
 def build_family(p: ShuffledFamilyParams) -> ErasureFamily:

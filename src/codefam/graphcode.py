@@ -15,18 +15,24 @@ re-read as symbols of F_{q^M}; the improved variant replaces the
 column-erasure family with a single MDS code over a slightly larger
 alphabet and a single outer code across all blocks of all seeds,
 eliminating the ensemble search entirely.
+
+Every code here is a `code.GridCode`: a `ConcatenatedCode` core whose
+cells are read row-major as the codeword matrix, encoded by `encode`
+and decoded by `decode(received, S, T)`.  Bipartite codes erase rows
+(S) and columns (T), nearly-MDS codes columns only; `encode_matrix`,
+`decode_matrix`, `encode_columns` and `decode_columns` are other names
+for `encode` and `decode`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import (ConcatenatedCode, InterleavedCode, LinearCode,
+from codefam.code import (ConcatenatedCode, GridCode, InterleavedCode, LinearCode,
                           InfeasibleAtDeskScale, UnitCode, grid_units, reed_solomon)
 from codefam.ensemble import ErasureFamily, verify_family
 from codefam.gf import FieldSpec, _prime_power, make_field
@@ -54,19 +60,17 @@ class RowCodeRS(InterleavedCode):
         self.M = M
         self.k_row = k_row
 
-    @property
-    def max_symbol_erasures(self) -> int:
-        return self.M - self.k_row
-
     def decode_syms(self, syms: list) -> np.ndarray:
-        """syms[i] is a length-ell digit vector or None; returns the message."""
+        """syms[i] is a length-ell digit vector or None; returns the message.
+        Unused here; kept for perfbench's `graphcode.decode_syms` metric."""
         digits = np.array([np.zeros(self.ell) if s is None else s for s in syms],
                           dtype=np.int64)
         return self.decode_digits(digits, [s is not None for s in syms])
 
 
-class BipartiteGraphCode:
-    """[M, N, delta_row, delta_col] graph code on M x N matrices over F_q."""
+class BipartiteGraphCode(GridCode):
+    """[M, N, delta_row, delta_col] graph code on M x N matrices over F_q; row
+    symbol i is column-encoded onto row i, and decoding may erase rows and columns."""
 
     def __init__(self, q_spec: FieldSpec, M: int, N: int, delta_row, delta_col,
                  row: RowCodeRS, col_family: ErasureFamily, provenance=None):
@@ -85,6 +89,14 @@ class BipartiteGraphCode:
         self.col_family = col_family
         self.k_total = row.k_total
         self.provenance = dict(provenance or {})
+        super().__init__(ConcatenatedCode(
+            row, [col_family.codes[self.assignment(i)] for i in range(M)],
+            np.arange(M * N).reshape(M, N), M * N), (M, N), ("rows", "cols"))
+
+    # other names of the GridCode methods, which perfbench calls and traces
+    encode_matrix = GridCode.encode
+    decode_matrix = GridCode.decode
+    generator = GridCode.generator
 
     def assignment(self, i: int) -> int:
         """Row i uses column-family code i mod M0 (round-robin repetition)."""
@@ -101,33 +113,6 @@ class BipartiteGraphCode:
     @property
     def col_rate(self) -> Fraction:
         return Fraction(self.row.ell, self.N)
-
-    @cached_property
-    def _core(self) -> ConcatenatedCode:
-        """Row symbol i is column-encoded onto cells i*N .. i*N + N-1."""
-        return ConcatenatedCode(
-            self.row, [self.col_family.codes[self.assignment(i)] for i in range(self.M)],
-            np.arange(self.M * self.N).reshape(self.M, self.N), self.M * self.N)
-
-    def encode_matrix(self, msg) -> np.ndarray:
-        msg = np.asarray(msg, dtype=np.int64).reshape(self.k_total)
-        return self._core.encode(msg).reshape(self.M, self.N)
-
-    def decode_matrix(self, received, S=(), T=()) -> np.ndarray:
-        """received: (M, N) with None entries allowed; S/T: erased rows/cols."""
-        S = frozenset(S)
-        T = frozenset(T)
-        return self._core.decode([None if i in S or j in T else received[i][j]
-                                  for i in range(self.M) for j in range(self.N)])
-
-    @cached_property
-    def unit_code(self) -> UnitCode:
-        """Units 0..M-1 are the rows, M..M+N-1 the columns."""
-        return UnitCode(self.q_spec, self._core.G, grid_units(self.M, self.N))
-
-    def generator(self) -> np.ndarray:
-        """(k_total, M*N) generator, row-major cell order; cached."""
-        return self.unit_code.G
 
     def corrects(self, S=(), T=()) -> bool:
         """Rank criterion on the surviving submatrix, no codeword search."""
@@ -228,13 +213,12 @@ def sample_random_bipartite(q: int, M: int, N: int, rate, rng_seed: int) -> Rand
 # Nearly-MDS codes: delta_row = 0, columns bundled into F_{q^M} symbols.
 # ----------------------------------------------------------------------
 
-class _ColumnSymbols:
+class _ColumnSymbols(GridCode):
     """The N columns of an M_rows x N codeword matrix as erasure units."""
 
-    @cached_property
-    def unit_code(self) -> UnitCode:
-        return UnitCode(self.q_spec, self.generator(),
-                        grid_units(self.M_rows, self.N)[self.M_rows:])
+    encode_columns = GridCode.encode
+    decode_columns = GridCode.decode
+    generator = GridCode.generator
 
     def corrects_columns(self, T=()) -> bool:
         return self.unit_code.corrects(T)
@@ -243,13 +227,13 @@ class _ColumnSymbols:
 class NearlyMDSCode(_ColumnSymbols):
     """Column-symbol view of an M-row matrix code: alphabet F_Q, Q = q^M."""
 
-    def __init__(self, inner, M_rows: int, N: int, delta, eta):
+    def __init__(self, inner: BipartiteGraphCode, M_rows: int, N: int, delta, eta):
+        super().__init__(inner.core, (M_rows, N), ("cols",))
         self.inner = inner
         self.M_rows = M_rows
         self.N = N
         self.delta = Fraction(delta)
         self.eta = Fraction(eta)
-        self.q_spec = inner.q_spec
         self.k_total = inner.k_total
 
     @property
@@ -259,16 +243,6 @@ class NearlyMDSCode(_ColumnSymbols):
     @property
     def log_Q(self) -> int:
         return self.M_rows  # Q = q^M_rows
-
-    def encode_columns(self, msg) -> np.ndarray:
-        """Message -> (M_rows, N) matrix; column j is one F_Q symbol."""
-        return self.inner.encode_matrix(msg)
-
-    def decode_columns(self, received, T=()) -> np.ndarray:
-        return self.inner.decode_matrix(received, S=(), T=T)
-
-    def generator(self) -> np.ndarray:
-        return self.inner.generator()
 
 
 def build_nearly_mds(q: int, N: int, delta, eta, *, M: int = 4,
@@ -326,7 +300,10 @@ class ImprovedNearlyMDSCode(_ColumnSymbols):
         self.outer = reed_solomon(self.outer_spec, k_out, M_b * D)
         self.sh = make_seeded_random(N, M_b, D, rng_seed)
         self.k_total = k_out * self.ell
-        self.M_rows = D
+        # block z*M_b + i carries its q'-ary digits on row z, columns sh.blocks(z)[i]
+        cells = [[z * N + x for x in blk] for z in range(D) for blk in self.sh.blocks(z)]
+        super().__init__(ConcatenatedCode(InterleavedCode(self.outer), [self.inner] * len(cells),
+                                          cells, D * N), (D, N), ("cols",))
 
     @property
     def rate(self) -> Fraction:
@@ -335,26 +312,6 @@ class ImprovedNearlyMDSCode(_ColumnSymbols):
     @property
     def log_Q(self) -> int:
         return self.D  # columns read as F_{q^D} symbols
-
-    @cached_property
-    def _core(self) -> ConcatenatedCode:
-        """Block z*M_b + i carries its q'-ary digits on row z, columns sh.blocks(z)[i]."""
-        cells = [[z * self.N + x for x in blk]
-                 for z in range(self.D) for blk in self.sh.blocks(z)]
-        return ConcatenatedCode(InterleavedCode(self.outer), [self.inner] * len(cells),
-                                cells, self.D * self.N)
-
-    def encode_columns(self, msg) -> np.ndarray:
-        msg = np.asarray(msg, dtype=np.int64).reshape(self.k_total)
-        return self._core.encode(msg).reshape(self.D, self.N)
-
-    def decode_columns(self, received, T=()) -> np.ndarray:
-        T = frozenset(T)
-        return self._core.decode([None if x in T else received[z][x]
-                                  for z in range(self.D) for x in range(self.N)])
-
-    def generator(self) -> np.ndarray:
-        return self._core.G
 
 
 def build_nearly_mds_improved(q: int, N: int, delta, eta, *, M_b: int = 2,

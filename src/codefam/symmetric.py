@@ -10,10 +10,12 @@ outer half of a `code.ConcatenatedCode` whose inner code is the bipartite
 code's own concatenation core.  Block (i, j) of the N x N codeword
 carries outer block (min(i, j), max(i, j)); blocks below the diagonal
 place their inner codeword transposed, so the codeword is symmetric, and
-the diagonal blocks belong to no block symbol and stay zero.  Decoding
-erases the few super-rows/columns that are too damaged for the inner
-code and makes one decode call on the core, which ends with a
-block-erasure solve on the outer code.
+the diagonal blocks belong to no block symbol and stay zero.  The code
+is a `code.GridCode` on N x N matrices: `encode` is the core's encoding,
+and `decode` first lets `erase` add every row and column of the few
+super-rows and super-columns too damaged for the inner code, then makes
+one decode call on the core, which ends with a block-erasure solve on
+the outer code.  `decode_graph` is another name for `decode`.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from fractions import Fraction
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import (ConcatenatedCode, GroupedCode, LinearCode, UnitCode,
+from codefam.code import (ConcatenatedCode, GridCode, GroupedCode, LinearCode, UnitCode,
                           expand_code, grid_units, reed_solomon)
 from codefam.ensemble import VerifyReport, split_pattern, verify_units
 from codefam.gf import FieldSpec, _is_prime, make_field
-from codefam.graphcode import BipartiteGraphCode
+from codefam.graphcode import BipartiteGraphCode, build_bipartite
 
 
 class SymmetricCodeError(ValueError):
@@ -158,7 +160,7 @@ def build_outer_graph(q: int, n: int, ell: int, delta_prime,
     return out
 
 
-class SymmetricGraphCode:
+class SymmetricGraphCode(GridCode):
     """Concatenated symmetric graph code on N x N matrices, N = n * D_in."""
 
     def __init__(self, outer: OuterGraphCode, inner: BipartiteGraphCode):
@@ -184,9 +186,10 @@ class SymmetricGraphCode:
         cols = [(min(i, j) * e + x) * side + max(i, j) * e + y for i, j in pairs]
         cells = [(i * D + r) * N + j * D + c if i < j else (i * D + c) * N + j * D + r
                  for i, j in pairs]
-        self._core = ConcatenatedCode(GroupedCode(self.spec, outer.space.G, cols),
-                                      [inner._core] * len(pairs), cells, N * N)
-        self.G = self._core.G
+        super().__init__(ConcatenatedCode(GroupedCode(self.spec, outer.space.G, cols),
+                                          [inner.core] * len(pairs), cells, N * N),
+                         (N, N), ("rows", "cols"))
+        self.G = self.core.G
         self.dim = mx.rank(self.spec, self.G)
         if self.dim != outer.dim:
             raise SymmetricCodeError("concatenation lost dimension")
@@ -195,35 +198,41 @@ class SymmetricGraphCode:
         vertices = [grid[a] | grid[N + a] for a in range(N)]
         self.unit_code = UnitCode(self.spec, self.G, vertices, dim=self.dim)
 
-    def encode(self, coeffs) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        return mx.matmul(self.spec, coeffs[None, :], self.G)[0].reshape(
-            self.N, self.N)
-
     @property
     def rate(self) -> Fraction:
         return Fraction(self.dim, math.comb(self.N, 2))
+
+    def erase(self, S, T):
+        """Super-rows with more than delta' * D_in erased rows are erased
+        whole (E0), and so are such super-columns (F0): their blocks are
+        outer erasures, not inner decodes."""
+        D, thresh = self.D_in, self.outer.delta_prime * self.D_in
+        out = []
+        for lost in (S, T):
+            heavy = [i for i in range(self.n) if sum(a // D == i for a in lost) > thresh]
+            out.append(lost.union(i * D + a for i in heavy for a in range(D)))
+        return tuple(out)
 
 
 def concat_graph(outer: OuterGraphCode, inner: BipartiteGraphCode) -> SymmetricGraphCode:
     return SymmetricGraphCode(outer, inner)
 
 
-def decode_graph(SGC: SymmetricGraphCode, received, E, F) -> np.ndarray:
-    """Recover the outer coefficient vector from row erasures E and column
-    erasures F (subsets of [N]).
+def build_symmetric(q: int, n: int, ell: int, delta_prime, D_in: int, eta, *,
+                    rng_seed: int = 0, inner_ell0: int | None = None,
+                    inner_k_row: int | None = None, eps_fam=None) -> SymmetricGraphCode:
+    """The outer code of build_outer_graph concatenated with a square
+    D_in x D_in bipartite code of row and column erasure fraction delta_prime."""
+    outer = build_outer_graph(q, n, ell, delta_prime)
+    inner = build_bipartite(q, D_in, D_in, delta_prime, delta_prime, eta,
+                            rng_seed=rng_seed, ell=ell, ell0=inner_ell0,
+                            k_row=inner_k_row, family_size=D_in, eps_fam=eps_fam)
+    return SymmetricGraphCode(outer, inner)
 
-    Super-rows with more than delta' * D_in erased rows go to E0 (same for
-    columns and F0); their blocks are erased whole, every other block is
-    inner-decoded and the outer code is solved on the recovered blocks.
-    """
-    D, thresh = SGC.D_in, SGC.outer.delta_prime * SGC.D_in
-    rows, cols = set(E), set(F)
-    for lost in (rows, cols):
-        heavy = [i for i in range(SGC.n) if sum(a // D == i for a in lost) > thresh]
-        lost.update(i * D + a for i in heavy for a in range(D))
-    return SGC._core.decode([None if a in rows or b in cols else received[a][b]
-                             for a in range(SGC.N) for b in range(SGC.N)])
+
+def decode_graph(SGC: SymmetricGraphCode, received, E, F) -> np.ndarray:
+    """`SGC.decode` with row erasures E and column erasures F."""
+    return SGC.decode(received, E, F)
 
 
 def verify_graph(SGC: SymmetricGraphCode, delta, mode: str = "exhaustive",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -253,7 +254,8 @@ def _bad_matrix(case, path):
 
 
 # messages that are no GF(2) message of the bipartite code
-BAD_MESSAGES = {"message-entry": [[1, 2, 0, 1]], "message-erasure": [[1, None, 0, 1]]}
+BAD_MESSAGES = {"message-entry": [[1, 2, 0, 1]], "message-erasure": [[1, None, 0, 1]],
+                "message-2x2": [[1, 0], [1, 1]]}
 
 # kind -> (manifest fixture, message length, codeword columns)
 CODE_SHAPES = {"family": ("fam_manifest", 3, 16), "bipartite": ("bp_manifest", 4, 8),
@@ -410,3 +412,99 @@ def test_verify_graph_delta_zero_means_zero(nm_manifest, tmp_path):
     assert cli.main(["verify-graph", "--code", str(nm_manifest), "--delta", "0",
                      "--out", str(rep)]) == 0
     assert json.loads(rep.read_text())["patterns_tested"] == 1
+
+
+GRAPH_FIXTURES = {"bipartite": ("bp_manifest", 4), "nearly-mds": ("nm_manifest", 12),
+                  "nearly-mds-improved": ("nmi_manifest", 16), "symmetric": ("sym_manifest", 10)}
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+@pytest.mark.parametrize("flag,value", [("--z", "0"), ("--member", "5")])
+@pytest.mark.parametrize("kind", sorted(GRAPH_FIXTURES))
+def test_member_flags_on_graph_code_exit_code(kind, flag, value, command, request, tmp_path,
+                                              capsys):
+    """--z and --member name a family member; any other kind exits 4, also
+    when the value given is the family default."""
+    fixture, k_total = GRAPH_FIXTURES[kind]
+    manifest = request.getfixturevalue(fixture)
+    infile = tmp_path / "in.txt"
+    if command == "encode":
+        cli.write_matrix_file(str(infile), f2, [[0] * k_total])
+    else:
+        infile = _zero_codeword(manifest, k_total, tmp_path)
+    capsys.readouterr()
+    assert cli.main([command, "--code", str(manifest), "--in", str(infile),
+                     "--out", str(tmp_path / "out.txt"), flag, value]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and flag in json.loads(lines[0])["detail"]
+
+
+@pytest.mark.parametrize("kind,flags", [
+    ("nearly-mds-improved", ["--M", "7"]),
+    ("nearly-mds-improved", ["--M", "7", "--drow", "1/2", "--ell", "9"]),
+    ("bipartite", ["--dprime", "1/3"]),
+])
+def test_build_graph_foreign_flag_exit_code(kind, flags, tmp_path, capsys):
+    """A build-graph flag that the kind does not take exits 4 and writes nothing."""
+    out = tmp_path / "man.json"
+    assert cli.main(["build-graph", "--kind", kind, "--q", "2", *flags,
+                     "--out", str(out)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+    assert flags[0] in json.loads(lines[0])["detail"]
+    assert not out.exists()
+
+
+# sha256 prefixes of each graph kind's manifest and of its codeword of the
+# message [1, 0, 0, 1, 0, 0, ...], recorded before the kinds shared one codec
+GRAPH_PINS = {"bipartite": ("7c03a508bafb2f68", "2120207feec2ec25"),
+              "nearly-mds": ("7a69d678c6936a72", "78f91b2ee7e0fdbf"),
+              "nearly-mds-improved": ("676f049c4fb8b932", "d483406d2a1cbc2f"),
+              "symmetric": ("e35d1716fc794618", "113cf97069a39ba8")}
+
+
+@pytest.mark.parametrize("kind", sorted(GRAPH_PINS))
+def test_graph_manifest_and_codeword_pinned(kind, request, tmp_path):
+    fixture, k_total = GRAPH_FIXTURES[kind]
+    manifest = request.getfixturevalue(fixture)
+    msg, cw = tmp_path / "msg.txt", tmp_path / "cw.txt"
+    cli.write_matrix_file(str(msg), f2, [[int(i % 3 == 0) for i in range(k_total)]])
+    assert cli.main(["encode", "--code", str(manifest), "--in", str(msg),
+                     "--out", str(cw)]) == 0
+    digest = [hashlib.sha256(f.read_bytes()).hexdigest()[:16] for f in (manifest, cw)]
+    assert tuple(digest) == GRAPH_PINS[kind]
+
+
+# kind -> (manifest fixture, message length, member flags, erased rows, erased columns)
+ROUND_TRIPS = {
+    "family": ("fam_manifest", 3, ["--z", "2", "--member", "1"], [], [3, 9]),
+    "bipartite": ("bp_manifest", 4, [], [0], [3, 6]),
+    "nearly-mds": ("nm_manifest", 12, [], [], [0, 5, 11]),
+    "nearly-mds-improved": ("nmi_manifest", 16, [], [], [1, 4, 9]),
+    "symmetric": ("sym_manifest", 10, [], [3], [9]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_TRIPS))
+def test_cli_round_trip(kind, request, tmp_path):
+    """encode, erase within the design radius, decode: the message comes back.
+
+    Erased cells hold a wrong digit, not "?": the erasures reach the
+    decoder through the flags alone.  A family has no erasable rows or
+    columns, so its erased columns are single cells marked "?" instead."""
+    fixture, k_total, member, rows, cols = ROUND_TRIPS[kind]
+    manifest = str(request.getfixturevalue(fixture))
+    msg, cw, rcv, dec = (tmp_path / f for f in ("msg", "cw", "rcv", "dec"))
+    sent = [[int(v) for v in np.random.default_rng(k_total).integers(0, 2, size=k_total)]]
+    cli.write_matrix_file(str(msg), f2, sent)
+    assert cli.main(["encode", "--code", manifest, "--in", str(msg), "--out", str(cw)]
+                    + member) == 0
+    family = kind == "family"
+    word = [[(None if family else 1 - v) if i in rows or j in cols else v
+             for j, v in enumerate(row)] for i, row in enumerate(cli.read_matrix_file(str(cw)))]
+    cli.write_matrix_file(str(rcv), f2, word)
+    flags = [] if family else ["--erased-rows", ",".join(map(str, rows)),
+                               "--erased-cols", ",".join(map(str, cols))]
+    assert cli.main(["decode", "--code", manifest, "--in", str(rcv), "--out", str(dec)]
+                    + member + flags) == 0
+    assert cli.read_matrix_file(str(dec)) == sent

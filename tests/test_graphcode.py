@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from codefam import code as cd
 from codefam import ensemble as ens
 from codefam import graphcode as gc
 from codefam.gf import make_field
@@ -21,13 +22,15 @@ def bp():
 def test_row_code_roundtrip():
     row = gc.RowCodeRS(f2, 4, 2, 2, 2)  # symbols in GF(2^4), code over GF(4)
     assert row.ell == 4 and row.k_total == 8
-    assert row.max_symbol_erasures == 2
     rng = np.random.default_rng(3)
     msg = rng.integers(0, 2, size=8, dtype=np.int64)
     syms = row.encode_syms(msg)
     assert syms.shape == (4, 4)
-    rec = [None if i in (0, 3) else list(syms[i]) for i in range(4)]
-    assert np.array_equal(row.decode_syms(rec), msg)
+    # M - k_row = 2 symbol erasures are corrected, a third is not
+    assert np.array_equal(row.decode_digits(syms, [False, True, True, False]), msg)
+    assert np.array_equal(row.decode_syms([None, *syms[1:3], None]), msg)
+    with pytest.raises(cd.DecodingFailure):
+        row.decode_digits(syms, [False, True, False, False])
 
 
 def test_bipartite_shapes_and_rate(bp):
@@ -56,7 +59,7 @@ def test_bipartite_corrects_matches_decode(bp):
             try:
                 dec = bp.decode_matrix(X, S=S, T=T)
                 decoded = bool(np.array_equal(dec, msg))
-            except gc.DecodingFailure:
+            except cd.DecodingFailure:
                 decoded = False
             # rank-correctability implies the decoder succeeds
             assert not ok or decoded
