@@ -55,11 +55,7 @@ class _Manifest(dict):
         raise InputError(f"manifest has no key {key!r}")
 
 
-def _frac(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+_frac = ens.fraction_from_text  # flags and manifests read fractions alike
 
 
 def _ints(text: str) -> list[int]:
@@ -190,19 +186,43 @@ GRAPH_KINDS = {
 }
 
 
+def _parsed(parse, *args):
+    """parse(*args) on a manifest field; what it rejects is malformed input."""
+    try:
+        return parse(*args)
+    except (ValueError, TypeError, IndexError, AttributeError) as exc:
+        raise InputError(f"{type(exc).__name__}: {exc}") from None
+
+
+def _param(params: dict, name: str):
+    """A graph manifest parameter, of its build-graph flag's type: a fraction
+    written as a string, or else a JSON integer (not a bool)."""
+    v = params[name]
+    if name in _FRACTIONS:
+        return _parsed(_frac, v)
+    if type(v) is not int:
+        raise InputError(f"manifest parameter {name!r} is not an integer: {v!r}")
+    return v
+
+
 def _rebuild(man: dict):
-    kind = man["kind"]
-    p = man["params"]
+    kind, p = man["kind"], man["params"]
+    if not isinstance(p, dict):
+        raise InputError("manifest params are not a JSON object")
     if kind == "family":
-        outer = cd.code_from_text(man["outer"])
-        inner = ens.family_from_manifest(man["inner"])
-        shuf = sf.shuffler_from_text(man["shuffler"])
-        return fc.ShuffledFamilyParams(outer, inner, shuf, _frac(p["delta"]),
-                                       _frac(p["eta"]), _frac(p["epsilon"]))
-    if kind not in GRAPH_KINDS:
-        raise ValueError(f"unknown manifest kind {kind!r}")
+        return fc.ShuffledFamilyParams(
+            _parsed(cd.code_from_text, man["outer"]),
+            _parsed(ens.family_from_manifest, man["inner"]),
+            _parsed(sf.shuffler_from_text, man["shuffler"]),
+            *(_parsed(_frac, p[n]) for n in ("delta", "eta", "epsilon")))
+    if not isinstance(kind, str) or kind not in GRAPH_KINDS:
+        raise InputError(f"unknown manifest kind {kind!r}")
     build, names, _, _ = GRAPH_KINDS[kind]
-    return build(q=p["q"], **{n: _frac(p[n]) if n in _FRACTIONS else p[n] for n in names})
+    return build(**{n: _param(p, n) for n in ["q", *names]})
+
+
+def _read_family(path: str) -> ens.ErasureFamily:
+    return _parsed(ens.family_from_manifest, _read_json(path))
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +276,7 @@ def cmd_build_family(a) -> int:
 
 
 def cmd_verify_family(a) -> int:
-    fam = ens.family_from_manifest(_read_json(a.manifest))
+    fam = _read_family(a.manifest)
     rep = ens.verify_family(fam, mode=a.mode, budget=a.budget, rng_seed=a.seed)
     out = {
         "mode": rep.mode,
@@ -290,11 +310,11 @@ def cmd_build_graph(a) -> int:
 
 def cmd_verify_graph(a) -> int:
     man = _read_json(a.code)
+    if man["kind"] == "family":
+        raise InputError("a family manifest is not a graph code")
     code = _rebuild(man)
-    if man["kind"] not in GRAPH_KINDS:
-        raise InputError(f"manifest kind {man['kind']!r} is not a graph code")
-    delta = a.delta if a.delta is not None else Fraction(
-        man.get("delta") or man["params"].get("delta", "0"))
+    delta = a.delta if a.delta is not None else _parsed(
+        _frac, man.get("delta") or man["params"].get("delta", "0"))
     axes = GRAPH_KINDS[man["kind"]][3](code, delta)
     rep = ens.verify_units(code.unit_code, axes, a.mode, a.budget, a.seed)
     witness = ens.split_pattern(rep.worst_pattern, axes)
@@ -369,7 +389,7 @@ def cmd_decode(a) -> int:
 
 
 def cmd_bridge(a) -> int:
-    fam = ens.family_from_manifest(_read_json(a.family))
+    fam = _read_family(a.family)
     if a.role == "extractor":
         lsm = br.family_to_extractor(fam)
     else:
@@ -411,23 +431,20 @@ def cmd_check_source(a) -> int:
 def cmd_report(a) -> int:
     man = _read_json(a.manifest)
     kind = man.get("kind", "?")
-    print(f"kind: {kind}")
+    lines = [f"kind: {kind}"]  # printed once all are read, so an error prints alone
     if "rate" in man:
-        rate = Fraction(man["rate"])
-        print(f"rate: {man['rate']} ({float(rate):.4f})")
-    for key in ("singleton_bound", "capacity_bound", "delta"):
-        if key in man:
-            print(f"{key}: {man[key]}")
+        lines.append(f"rate: {man['rate']} ({float(_parsed(_frac, man['rate'])):.4f})")
+    lines += [f"{key}: {man[key]}" for key in ("singleton_bound", "capacity_bound", "delta")
+              if key in man]
     if kind == "family":
-        p = man["params"]
-        print(f"q={p['q']} N={p['N']} M={p['M']} delta={p['delta']} "
-              f"eta={p['eta']} epsilon={p['epsilon']}")
-        print(f"family size: {len(man['family']['codes'])}")
-        plot = cd.plotkin_rate_bound(p["q"], Fraction(p["delta"]))
-        print(f"plotkin_bound: {plot}")
-        certs = man["certificates"]
-        print(f"size_balance_pass: {certs['size_balance_pass']}")
-        print(f"outer_distance: {certs['outer_distance']}")
+        p, certs = man["params"], man["certificates"]
+        lines += [f"q={p['q']} N={p['N']} M={p['M']} delta={p['delta']} "
+                  f"eta={p['eta']} epsilon={p['epsilon']}",
+                  f"family size: {len(man['family']['codes'])}",
+                  f"plotkin_bound: {cd.plotkin_rate_bound(p['q'], _parsed(_frac, p['delta']))}",
+                  f"size_balance_pass: {certs['size_balance_pass']}",
+                  f"outer_distance: {certs['outer_distance']}"]
+    print("\n".join(lines))
     return EXIT_PASS
 
 

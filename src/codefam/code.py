@@ -629,7 +629,7 @@ def code_from_text(text: str) -> LinearCode:
     if head[0] != "field":
         raise CodeError("bad code file: missing field header")
     p, m = int(head[1]), int(head[2])
-    spec = FieldSpec(p, m, tuple(int(c) for c in head[3:3 + m + 1]))
+    spec = make_field(p, m, tuple(int(c) for c in head[3:3 + m + 1]))
     k, n = map(int, lines[1].split())
     G = np.array([[int(x) for x in lines[2 + i].split()] for i in range(k)],
                  dtype=np.int64)

@@ -351,11 +351,23 @@ def family_to_manifest(F: ErasureFamily, provenance: dict | None = None) -> dict
     }
 
 
+def fraction_from_text(text: str) -> Fraction:
+    """A fraction written as text, as manifests and flags write them; any
+    other value (a float is not exact) is rejected."""
+    if not isinstance(text, str):
+        raise TypeError(f"a fraction is written as a string, not {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def family_from_manifest(man: dict) -> ErasureFamily:
     if man.get("kind") == "family":  # a build-family construction manifest
         man = man["family"]
     codes = [code_from_text(t) for t in man["codes"]]
-    return ErasureFamily(codes, Fraction(man["delta"]), Fraction(man["epsilon"]))
+    return ErasureFamily(codes, fraction_from_text(man["delta"]),
+                         fraction_from_text(man["epsilon"]))
 
 
 def save_family(F: ErasureFamily, path: str, provenance: dict | None = None) -> None:

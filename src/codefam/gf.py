@@ -3,15 +3,17 @@ Exact arithmetic in finite fields GF(p^m).
 
 Elements are encoded as integers in [0, q), q = p^m, where the base-p
 digits of the encoding are the coefficients of the polynomial-basis
-representative (digit i = coefficient of x^i).  Multiplication and
-inversion go through precomputed log/antilog tables, so they are O(1)
-lookups; this matters because rank computations downstream perform
-millions of field operations.
+representative (digit i = coefficient of x^i).  Each field holds one
+digit table, row a the digits of a, and builds every table from it:
+negation and addition are digit-wise, and the times-x map shifts the
+digits up one place.  The a*x^j maps give multiplication by any g, the
+generator's walk from 1 is the antilog table, and the log and inverse
+tables follow, so multiplication and inversion are O(1) lookups.
 
-The irreducible polynomial defining an extension field is always the
-lexicographically smallest monic irreducible of the requested degree
-(coefficients compared low-to-high), so encodings are reproducible
-across runs and serialized objects are self-describing.
+Polynomials over GF(p) serve only to choose and validate the
+irreducible: by default the lexicographically smallest monic irreducible
+of the requested degree (coefficients compared low-to-high), so
+encodings are reproducible and serialized objects self-describing.
 """
 
 from __future__ import annotations
@@ -146,6 +148,8 @@ def _is_irreducible(coeffs, p: int) -> bool:
     m = len(coeffs) - 1
     if m == 1:
         return True
+    if coeffs[0] == 0:  # divisible by x
+        return False
     # x^(p^m) == x (mod f)
     xq = _poly_powmod_x(p ** m, coeffs, p)
     xq = xq + [0] * (2 - len(xq))
@@ -202,84 +206,41 @@ class FieldSpec:
         self.m = m
         self.q = q
         self.irreducible = irreducible
+        self._place = p ** np.arange(m, dtype=np.int64)
+        # row a holds the digits of a; read-only, as to_digits returns its rows
+        self._digit_table = np.arange(q, dtype=np.int64)[:, None] // self._place % p
+        self._digit_table.flags.writeable = False
         self._build_tables()
 
     # -- table construction -------------------------------------------
 
-    def _digits(self, v: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            out.append(v % self.p)
-            v //= self.p
-        return out
-
-    def _undigits(self, ds) -> int:
-        v = 0
-        for d in reversed(ds):
-            v = v * self.p + d
-        return v
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Schoolbook polynomial product, reduced mod the irreducible."""
-        if a == 0 or b == 0:
-            return 0
-        fa, fb = self._digits(a), self._digits(b)
-        prod = _poly_mul(fa, fb, self.p)
-        red = _poly_mod(prod, list(self.irreducible), self.p)
-        red = red + [0] * (self.m - len(red))
-        return self._undigits(red)
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return r
-
     def _build_tables(self):
-        q, p = self.q, self.p
-        # find a multiplicative generator
-        factors = _prime_factors(q - 1) if q > 2 else []
-        g = None
-        for cand in range(2, q):
-            if all(self._raw_pow(cand, (q - 1) // r) != 1 for r in factors):
-                g = cand
+        q, p, D = self.q, self.p, self._digit_table
+        # a*x: a*p mod q shifts the digits up one place, and the carried-out
+        # top digit c adds c*x^m = -c*(f_0 + ... + f_{m-1} x^{m-1})
+        a = np.arange(q)
+        times_x = self.from_digits((D[a * p % q] - D[:, -1:] * self.irreducible[:-1]) % p)
+        ax = [a]  # a -> a*x^j, for j < m
+        for _ in range(1, self.m):
+            ax.append(times_x[ax[-1]])
+        # the generator: the smallest g whose walk 1, g, g^2, ... visits
+        # every nonzero element, with a*g = sum_j g_j*(a*x^j) digit-wise
+        for g in range(1, q):
+            step = self.from_digits(sum(c * D[t] for c, t in zip(D[g], ax) if c) % p).tolist()
+            walk = [1]
+            while step[walk[-1]] != 1 and len(walk) < q:  # ends even if step is no permutation
+                walk.append(step[walk[-1]])
+            if len(walk) == q - 1:
                 break
-        if g is None:
-            g = 1  # q == 2
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._raw_mul(acc, g)
-        exp[q - 1:] = exp[: q - 1]
         self.generator = g
-        self._exp = exp
-        self._log = log
-        inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
-        self._inv = inv
-        # negation table (cheap for any q)
-        if p == 2:
-            self._neg = None
-        else:
-            self._neg = np.array(
-                [self._undigits([(-d) % p for d in self._digits(v)])
-                 for v in range(q)], dtype=np.int64)
-        if p != 2 and self.m > 1 and q <= _ADD_TABLE_MAX_Q:
-            tbl = np.zeros((q, q), dtype=np.int64)
-            for a in range(q):
-                da = self._digits(a)
-                for b in range(q):
-                    db = self._digits(b)
-                    tbl[a, b] = self._undigits([(x + y) % p for x, y in zip(da, db)])
-            self._add_table = tbl
-        else:
-            self._add_table = None
+        self._exp = np.array(walk * 2, dtype=np.int64)
+        self._log = np.zeros(q, dtype=np.int64)
+        self._log[self._exp[:q - 1]] = np.arange(q - 1)
+        self._inv = np.zeros(q, dtype=np.int64)
+        self._inv[1:] = self._exp[(q - 1 - self._log[1:]) % (q - 1)]
+        self._neg = None if p == 2 else self.from_digits(-D % p)
+        self._add_table = (self.from_digits((D[:, None] + D) % p)
+                           if p != 2 and self.m > 1 and q <= _ADD_TABLE_MAX_Q else None)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -304,16 +265,8 @@ class FieldSpec:
         return self._add_digitwise(a, b, -1)
 
     def _add_digitwise(self, a, b, sign):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        pk = 1
-        for _ in range(self.m):
-            da = (a // pk) % self.p
-            db = (b // pk) % self.p
-            out += ((da + sign * db) % self.p) * pk
-            pk *= self.p
-        return out if out.shape else int(out)
+        D = self._digit_table
+        return self.from_digits((D[a] + sign * D[b]) % self.p)
 
     def neg(self, a):
         if self.p == 2:
@@ -359,22 +312,12 @@ class FieldSpec:
 
     def to_digits(self, v):
         """Base-p digit vector(s) of encoding(s); digit 0 first."""
-        v = np.asarray(v, dtype=np.int64)
-        out = np.zeros(v.shape + (self.m,), dtype=np.int64)
-        pk = 1
-        for i in range(self.m):
-            out[..., i] = (v // pk) % self.p
-            pk *= self.p
-        return out
+        return self._digit_table[v]
 
     def from_digits(self, ds):
-        ds = np.asarray(ds, dtype=np.int64)
-        pk = 1
-        out = np.zeros(ds.shape[:-1], dtype=np.int64)
-        for i in range(self.m):
-            out += ds[..., i] * pk
-            pk *= self.p
-        return out if out.shape else int(out)
+        """Encoding(s) of base-p digit vector(s); the inverse of to_digits."""
+        out = np.asarray(ds, dtype=np.int64) @ self._place
+        return out if out.ndim else int(out)
 
     def tag(self) -> str:
         """Self-describing header used by all file formats."""
@@ -438,18 +381,18 @@ class FieldElement:
 
 
 @lru_cache(maxsize=None)
-def _cached_field(p: int, m: int) -> FieldSpec:
-    return FieldSpec(p, m)
+def _cached_field(p: int, m: int, irreducible) -> FieldSpec:
+    return FieldSpec(p, m, irreducible)
 
 
-def make_field(p: int, m: int) -> FieldSpec:
-    """GF(p^m) with the canonical (smallest) irreducible; cached."""
-    return _cached_field(p, m)
+def make_field(p: int, m: int, irreducible=None) -> FieldSpec:
+    """GF(p^m), by default with the smallest irreducible; cached, so each
+    (p, m, irreducible) is built once."""
+    return _cached_field(p, m, irreducible if irreducible is None else tuple(irreducible))
 
 
 def parse_field_tag(tokens: list[str]) -> FieldSpec:
     """Inverse of FieldSpec.tag(), consuming tokens 'p^m c0 ... cm'."""
     p_s, m_s = tokens[0].split("^")
     p, m = int(p_s), int(m_s)
-    coeffs = tuple(int(t) for t in tokens[1:2 + m])
-    return FieldSpec(p, m, coeffs)
+    return make_field(p, m, tuple(int(t) for t in tokens[1:2 + m]))

@@ -508,3 +508,68 @@ def test_cli_round_trip(kind, request, tmp_path):
     assert cli.main(["decode", "--code", manifest, "--in", str(rcv), "--out", str(dec)]
                     + member + flags) == 0
     assert cli.read_matrix_file(str(dec)) == sent
+
+
+def _header(text, header):
+    """A code text with its field header line replaced."""
+    return header + text[text.index("\n"):]
+
+
+def _set_member(man, header):
+    man["family"]["codes"][0] = _header(man["family"]["codes"][0], header)
+
+
+# case -> (manifest fixture, command, edit).  Graph manifests go to
+# verify-graph; family manifests to verify-family, which reads the member
+# codes and fractions, or to encode, which rebuilds the construction from
+# the outer code, inner family, shuffler and parameters.
+MANIFEST_EDITS = {
+    "unknown-kind": ("bp_manifest", "verify-graph", lambda m: m.update(kind="foo", params={})),
+    "kind-list": ("bp_manifest", "verify-graph", lambda m: m.update(kind=["bipartite"])),
+    "params-list": ("bp_manifest", "verify-graph", lambda m: m.update(params=[])),
+    "q-string": ("bp_manifest", "verify-graph", lambda m: m["params"].update(q="2")),
+    "M-float": ("bp_manifest", "verify-graph", lambda m: m["params"].update(M=4.0)),
+    "delta_row-float": ("bp_manifest", "verify-graph",
+                        lambda m: m["params"].update(delta_row=0.25)),
+    "delta_row-text": ("bp_manifest", "verify-graph",
+                       lambda m: m["params"].update(delta_row="a quarter")),
+    "rng_seed-bool": ("bp_manifest", "verify-graph", lambda m: m["params"].update(rng_seed=True)),
+    "symmetric-delta-float": ("sym_manifest", "verify-graph", lambda m: m.update(delta=0.0625)),
+    "member-field-token": ("fam_manifest", "verify-family",
+                           lambda m: _set_member(m, "field 2 x")),
+    "member-non-monic": ("fam_manifest", "verify-family",
+                         lambda m: _set_member(m, "field 2 1 1 0")),
+    "family-delta-float": ("fam_manifest", "verify-family",
+                           lambda m: m["family"].update(delta=0.125)),
+    "outer-field-token": ("fam_manifest", "encode",
+                          lambda m: m.update(outer=_header(m["outer"], "field 2 x"))),
+    "inner-delta-float": ("fam_manifest", "encode", lambda m: m["inner"].update(delta=0.125)),
+    "shuffler-token": ("fam_manifest", "encode",
+                       lambda m: m.update(shuffler="16 8 4 seeded_random x")),
+    "params-delta-float": ("fam_manifest", "encode", lambda m: m["params"].update(delta=0.125)),
+    "report-rate-float": ("bp_manifest", "report", lambda m: m.update(rate=0.125)),
+    "report-delta-float": ("fam_manifest", "report", lambda m: m["params"].update(delta=0.125)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_EDITS))
+def test_malformed_manifest_field_exit_code(case, request, tmp_path, capsys):
+    """An unknown kind, a parameter not of its build-graph flag's type (an
+    integer that is a float, string or bool; a fraction not written as a
+    string, which report checks too), or a code or shuffler text that does
+    not parse exits 4."""
+    fixture, command, edit = MANIFEST_EDITS[case]
+    man = json.loads(request.getfixturevalue(fixture).read_text())
+    edit(man)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(man))
+    if command == "encode":
+        msg = tmp_path / "msg.txt"
+        cli.write_matrix_file(str(msg), f2, [[1, 0, 1]])
+        argv = ["encode", "--code", str(bad), "--in", str(msg), "--out", str(tmp_path / "cw")]
+    else:
+        argv = [command, MANIFEST_FLAGS[command][0], str(bad)]
+    capsys.readouterr()
+    assert cli.main(argv) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"

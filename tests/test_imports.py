@@ -1,8 +1,12 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private function or method it defines is used somewhere in the package.
 
 A name counts as used when it appears as an identifier anywhere in the
 module (annotations included) or is listed in the module's `__all__`;
-`from __future__` imports are exempt.
+`from __future__` imports are exempt.  A private function (module level,
+or a method of a module-level class; dunder methods are exempt) counts as
+used when its name appears as an identifier or attribute anywhere in the
+package, its own `def` aside.
 """
 
 import ast
@@ -41,3 +45,32 @@ def test_checker_flags_an_unused_import():
     src = ("from __future__ import annotations\nimport os, sys as system\n"
            "from math import comb, floor\n__all__ = ['floor']\nprint(os.sep)\n")
     assert unused_imports(src) == ["comb (line 3)", "system (line 2)"]
+
+
+def unused_private_defs(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    defined, used = [], set()
+    for name, tree in trees.items():
+        scopes = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+        defined += [(node.name, f"{name}:{node.lineno}") for body in scopes for node in body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{fn} ({where})" for fn, where in defined if fn not in used)
+
+
+def test_no_unused_private_defs():
+    assert unused_private_defs({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_checker_flags_an_unused_private_def():
+    a = ("def _used():\n    pass\n\ndef _left():\n    pass\n\n"
+         "class C:\n    def __init__(self):\n        self._peer()\n\n"
+         "    def _stale(self):\n        pass\n")
+    b = "import a\na._used()\nprint(a.C()._peer)\n\ndef _peer():\n    pass\n"
+    assert unused_private_defs({"a.py": a, "b.py": b}) == ["_left (a.py:4)",
+                                                            "_stale (a.py:11)"]
