@@ -406,11 +406,34 @@ def cmd_bridge(a) -> int:
     return EXIT_PASS
 
 
+def _int_array(value, ndim: int, what: str) -> np.ndarray:
+    """A JSON array of integers, nested ndim deep and not ragged."""
+    try:
+        arr = np.array(value)
+    except ValueError:
+        raise InputError(f"{what} is a ragged array") from None
+    if arr.ndim != ndim or (arr.size and arr.dtype.kind != "i"):
+        raise InputError(f"{what} is not a {ndim}-d array of integers")
+    return arr.astype(np.int64)
+
+
+def _bridge_map(man) -> br.LinearSeededMap:
+    """The seeded map of a bridge file: one matrix per seed, all of one
+    shape, with entries in the field the file names with its irreducible."""
+    field = man["field"]
+    p, m = field["p"], field["m"]
+    if type(p) is not int or type(m) is not int:
+        raise InputError(f"bridge field p = {p!r}, m = {m!r} are not integers")
+    irreducible = _int_array(field["irreducible"], 1, "bridge field irreducible")
+    spec = _parsed(make_field, p, m, tuple(irreducible.tolist()))
+    return _parsed(br.LinearSeededMap, spec, list(_int_array(man["maps"], 3, "bridge maps")))
+
+
 def cmd_check_source(a) -> int:
     man = _read_json(a.bridge)
-    spec = make_field(man["field"]["p"], man["field"]["m"])
-    lsm = br.LinearSeededMap(spec, [np.array(G, dtype=np.int64)
-                                    for G in man["maps"]])
+    if man["role"] not in ("extractor", "condenser"):
+        raise InputError(f"bridge role {man['role']!r} is not extractor or condenser")
+    lsm = _bridge_map(man)
     free = _ints(a.free)
     if man["role"] == "extractor":
         res = br.extractor_error_on_source(lsm, free)

@@ -101,6 +101,19 @@ class UnitCode:
         """GF(2) rows packed into ints, once: erasing cells is one AND per row."""
         return mx.pack_rows(self.G)
 
+    @cached_property
+    def H(self) -> np.ndarray:
+        """Parity-check matrix, n - dim rows spanning the kernel of G
+        (read-only, as it is shared).  A set of erased cells is correctable
+        iff its columns of H are independent; built on first use, as only
+        exhaustive scans and duals read it."""
+        H = mx.kernel_basis(self.spec, self.G)
+        n = self.G.shape[1]
+        if len(H) != n - self.dim:
+            raise CodeError(f"G has rank {n - len(H)}, not dim = {self.dim}")
+        H.flags.writeable = False
+        return H
+
     def corrects(self, erased) -> bool:
         mask = 0
         for u in erased:
@@ -601,8 +614,8 @@ def plotkin_rate_bound(q: int, delta) -> Fraction:
 
 
 def dual_parity(C: LinearCode) -> np.ndarray:
-    """(n-k) x n parity matrix H with G H^T = 0 (possibly 0 rows)."""
-    return mx.kernel_basis(C.spec, C.G)
+    """(n-k) x n parity matrix H with G H^T = 0 (possibly 0 rows), read-only."""
+    return C.unit_code.H
 
 
 # ----------------------------------------------------------------------

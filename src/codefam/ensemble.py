@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, combinations, combinations_with_replacement, product
 
 import numpy as np
@@ -93,75 +94,176 @@ class VerifyReport:
     notes: dict = field(default_factory=dict)
 
 
-def _patterns(axes, sizes, start: int = 0):
-    """Patterns with sizes[i] units on axis i, in lexicographic order."""
-    if not axes:
-        yield ()
-        return
-    n = axes[0][0]
-    for head in combinations(range(start, start + n), sizes[0]):
-        for tail in _patterns(axes[1:], sizes[1:], start + n):
-            yield head + tail
-
-
 def split_pattern(pat, axes) -> list[list[int]]:
     """The units a pattern erases on each axis, numbered from 0 per axis."""
     starts = accumulate((n for n, _, _ in axes), initial=0)
     return [[u - s for u in pat if s <= u < s + n] for (n, _, _), s in zip(axes, starts)]
 
 
-def scan_patterns(axes, fail_fraction, mode: str = "exhaustive",
+def _blocks(axes) -> tuple[list, int]:
+    """The exhaustive scan's layout: per size combination with patterns, in
+    scan order, the index of its first pattern and one slot per unit it
+    erases, (first unit of the axis, n, units the axis erases after this
+    one, patterns per choice on the axes after it); and the pattern count."""
+    offsets = list(accumulate((n for n, _, _ in axes), initial=0))
+    blocks, total = [], 0
+    for sizes in product(*(range(lo, hi + 1) for _, lo, hi in axes)):
+        slots, tail = [], 1
+        for (n, _, _), s, off in reversed(list(zip(axes, sizes, offsets))):
+            slots[:0] = [(off, n, s - i - 1, tail) for i in range(s)]
+            tail *= math.comb(n, s)
+        if tail:
+            blocks.append((total, slots))
+            total += tail
+    return blocks, total
+
+
+def _walk(code: UnitCode, blocks, stop: bool) -> list[tuple[int, int, bool]]:
+    """The index ranges [start, end) of the patterns `code` cannot correct,
+    each flagged when a prefix shorter than its patterns failed it.
+
+    Depth first, in scan order, with an echelon basis of the parity-check
+    columns of the cells erased so far: a unit adds the columns of its new
+    cells (units may share cells), and once one depends on the basis every
+    completion of the prefix fails too.  Those completions are one run of
+    scan indices, counted without visiting them.  `stop` ends the walk at
+    its first failure.
+    """
+    units, H = code.units, code.H
+    if code.spec.q == 2:
+        cols, extend = mx.pack_rows(H.T), mx._extend_packed
+    else:
+        cols, extend = list(H.T), partial(mx._extend, code.spec)
+    cells = [[c for c in range(len(cols)) if unit >> c & 1] for unit in units]
+    unit_cols = [[cols[c] for c in cs] for cs in cells]
+    basis: list = []
+    fails: list[tuple[int, int, bool]] = []
+    index = 0
+
+    def visit(slots, j, lo, erased) -> bool:
+        nonlocal index
+        off, n, left, tail = slots[j]
+        last = j + 1 == len(slots)
+        for v in range(lo, n - left):
+            unit = units[off + v]
+            new = unit & ~erased
+            rows = unit_cols[off + v]
+            if new != unit:
+                rows = [cols[c] for c in cells[off + v] if new >> c & 1]
+            mark = len(basis)
+            if not extend(basis, rows):
+                size = math.comb(n - v - 1, left) * tail
+                fails.append((index, index + size, not last))
+                index += size
+                if stop:
+                    return True
+            elif last:
+                index += 1
+            elif visit(slots, j + 1, v + 1 if left else 0, erased | new):
+                return True
+            del basis[mark:]
+        return False
+
+    for first, slots in blocks:
+        index = first
+        if slots and visit(slots, 0, 0, 0):
+            break
+    return fails
+
+
+def _pattern_at(blocks, index: int) -> tuple:
+    """The pattern at a scan index, counted as `_walk` counts."""
+    first, slots = blocks[bisect_right([b[0] for b in blocks], index) - 1]
+    rest, lo, pat = index - first, 0, []
+    for off, n, left, tail in slots:
+        v = lo
+        while rest >= (size := math.comb(n - v - 1, left) * tail):
+            rest -= size
+            v += 1
+        pat.append(off + v)
+        lo = v + 1 if left else 0
+    return tuple(pat)
+
+
+def scan_patterns(axes, codes: list[UnitCode], mode: str = "exhaustive",
                   budget: int = 10 ** 7, rng_seed: int | None = None, *,
-                  cost: int = 1, stop_at_failure: bool = False):
-    """(worst fail fraction, smallest pattern reaching it, patterns tested).
+                  stop_at_failure: bool = False):
+    """(worst fail fraction, smallest pattern reaching it, patterns tested,
+    notes).
 
     Each axis (n, lo, hi) is one kind of erasure unit; a pattern erases lo
     to hi of its n units, numbered after those of the earlier axes, and is
-    one sorted tuple.  Exhaustive mode walks the patterns by size, then in
-    lexicographic order, within `budget` rank checks (`cost` per pattern);
-    it starts from the empty pattern at fraction 0, so with no failures it
-    names none.  Monte Carlo mode draws `budget` patterns of the largest
-    sizes.  stop_at_failure ends the scan at the first failing pattern.
+    one sorted tuple.  Its fail fraction is the share of `codes` (over the
+    same units) that cannot correct it.  Exhaustive mode covers the
+    patterns by size, then in lexicographic order, within `budget` rank
+    checks (one per pattern and code), walking each code's patterns on the
+    dual side (`_walk`); with no failures it names no pattern.  Monte Carlo
+    mode draws `budget` patterns of the largest sizes and checks each with
+    `UnitCode.corrects`.  stop_at_failure ends the scan at the first
+    failing pattern.  The notes count the prefixes whose completions the
+    walks failed in bulk and, summed over codes, those completions among
+    the patterns tested.
     """
     if mode == "exhaustive":
-        count = math.prod(sum(math.comb(n, s) for s in range(lo, hi + 1))
-                          for n, lo, hi in axes) * cost
+        blocks, total = _blocks(axes)
+        count = total * len(codes)
         if count > budget:
             raise BudgetExceeded(f"{count} rank checks exceed budget {budget}")
-        pats = (pat for sizes in product(*(range(lo, hi + 1) for _, lo, hi in axes))
-                for pat in _patterns(axes, sizes))
-        witness = ()
-    elif mode == "montecarlo":
-        if rng_seed is None:
-            raise EnsembleError("montecarlo mode requires rng_seed")
-        rng = random.Random(rng_seed)
-        starts = list(accumulate((n for n, _, _ in axes), initial=0))
-        pats = (tuple(s + u for (n, _, hi), s in zip(axes, starts)
-                      for u in sorted(rng.sample(range(n), hi)))
-                for _ in range(budget))
-        witness = None
-    else:
+        walks = [_walk(c, blocks, stop_at_failure) for c in codes]
+        worst, witness, tested = _worst(blocks, total, walks, len(codes), stop_at_failure)
+        cuts = [(a, b) for w in walks for a, b, cut in w if cut and a < tested]
+        return worst, witness, tested, {
+            "prefixes_pruned": len(cuts),
+            "patterns_pruned": sum(min(b, tested) - a for a, b in cuts)}
+    if mode != "montecarlo":
         raise EnsembleError(f"unknown mode {mode!r}")
-    worst = Fraction(0)
-    tested = 0
-    for pat in pats:
-        frac = fail_fraction(pat)
+    if rng_seed is None:
+        raise EnsembleError("montecarlo mode requires rng_seed")
+    rng = random.Random(rng_seed)
+    starts = list(accumulate((n for n, _, _ in axes), initial=0))
+    worst, witness, tested = Fraction(0), None, 0
+    for _ in range(budget):
+        pat = tuple(s + u for (n, _, hi), s in zip(axes, starts)
+                    for u in sorted(rng.sample(range(n), hi)))
+        frac = Fraction(sum(1 for c in codes if not c.corrects(pat)), len(codes))
         tested += 1
         if witness is None or frac > worst or (frac == worst and pat < witness):
             worst, witness = frac, pat
         if stop_at_failure and frac:
             break
-    return worst, witness or (), tested
+    return worst, witness or (), tested, {"prefixes_pruned": 0, "patterns_pruned": 0}
+
+
+def _worst(blocks, total: int, walks, ncodes: int, stop: bool):
+    """(worst fail fraction, smallest pattern reaching it, patterns tested)
+    from each code's failing ranges."""
+    if stop:
+        firsts = [w[0][0] for w in walks if w]
+        if not firsts:
+            return Fraction(0), (), total
+        first = min(firsts)
+        return Fraction(firsts.count(first), ncodes), _pattern_at(blocks, first), first + 1
+    ranges = [r for w in walks for r in w]
+    if not ranges:
+        return Fraction(0), (), total
+    fails = np.cumsum(np.bincount([a for a, _, _ in ranges], minlength=total + 1)
+                      - np.bincount([b for _, b, _ in ranges], minlength=total + 1))
+    top = int(fails[:total].max())
+    hits = np.flatnonzero(fails[:total] == top)
+    # within a block scan order is lexicographic: its first hit is its smallest
+    bounds = np.searchsorted(hits, [b[0] for b in blocks] + [total])
+    witness = min(_pattern_at(blocks, int(hits[i]))
+                  for i, end in zip(bounds, bounds[1:]) if i < end)
+    return Fraction(top, ncodes), witness, total
 
 
 def verify_units(code: UnitCode, axes, mode: str = "exhaustive",
                  budget: int = 10 ** 5, rng_seed: int | None = None) -> VerifyReport:
     """The first pattern of the axes that `code` cannot correct, if any."""
-    worst, witness, tested = scan_patterns(
-        axes, lambda pat: 0 if code.corrects(pat) else 1, mode, budget, rng_seed,
-        stop_at_failure=True)
+    worst, witness, tested, notes = scan_patterns(
+        axes, [code], mode, budget, rng_seed, stop_at_failure=True)
     return VerifyReport(worst, witness if worst else (), tested, mode, rng_seed,
-                        passed=not worst)
+                        passed=not worst, notes=notes)
 
 
 def failure_fraction(F: ErasureFamily, pat) -> Fraction:
@@ -185,9 +287,8 @@ def verify_family(F: ErasureFamily, mode: str = "exhaustive",
     the worst per-pattern failing fraction is <= epsilon.
     """
     s = max_pattern_size(F)
-    worst, witness, tested = scan_patterns(
-        [(F.n, s, s)], lambda pat: failure_fraction(F, pat), mode, budget,
-        rng_seed, cost=len(F.codes))
+    worst, witness, tested, notes = scan_patterns(
+        [(F.n, s, s)], [c.unit_code for c in F.codes], mode, budget, rng_seed)
     return VerifyReport(
         worst_fail_fraction=worst,
         worst_pattern=witness,
@@ -195,6 +296,7 @@ def verify_family(F: ErasureFamily, mode: str = "exhaustive",
         mode=mode,
         rng_seed=rng_seed if mode == "montecarlo" else None,
         passed=worst <= F.epsilon,
+        notes=notes,
     )
 
 

@@ -15,6 +15,9 @@ echelon form (all `rank` needs), `_reduce` the back pass that clears the
 entries above each pivot, giving the reduced row echelon form.  `solve`
 (one right-hand side or a matrix of them) and `kernel_basis` read their
 answers straight off the reduced form.
+
+`_extend_packed` and `_extend` grow an echelon basis one row at a time,
+for scans that add vectors to a basis and take them off again.
 """
 
 from __future__ import annotations
@@ -70,6 +73,53 @@ def rank_packed(rows: list[int]) -> int:
             pivots.append(row)
             r += 1
     return r
+
+
+def _extend_packed(basis: list, rows) -> bool:
+    """Add bit-packed GF(2) rows to an echelon basis of (row, lowest set bit)
+    pairs, each row reduced as in `rank_packed`.  False at the first row
+    that depends on the basis; the rows before it stay added."""
+    for row in rows:
+        for piv, low in basis:
+            if row & low:
+                row ^= piv
+        if not row:
+            return False
+        basis.append((row, row & -row))
+    return True
+
+
+def _extend(spec: FieldSpec, basis: list, rows) -> bool:
+    """`_extend_packed` over any field: rows are vectors, and the basis
+    holds (pivot column, row scaled to 1 there) pairs."""
+    for row in rows:
+        for c, piv in basis:
+            if row[c]:
+                row = spec.sub(row, spec.mul(int(row[c]), piv))
+        nz = np.flatnonzero(row)
+        if not len(nz):
+            return False
+        c = int(nz[0])
+        basis.append((c, spec.mul(row, spec.inv(int(row[c])))))
+    return True
+
+
+def _rref_packed(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The nonzero rows of the reduced row echelon form of a GF(2) matrix,
+    eliminated on packed rows, and its pivot columns."""
+    basis: list[tuple[int, int]] = []
+    for row in pack_rows(a):
+        if _extend_packed(basis, [row]):
+            # clear the new pivot from the rows above it
+            row, low = basis.pop()
+            basis = [(piv ^ row if piv & low else piv, b) for piv, b in basis]
+            basis.append((row, low))
+    basis.sort(key=lambda entry: entry[1])
+    width = (a.shape[1] + 7) // 8
+    packed = b"".join(piv.to_bytes(width, "little") for piv, _ in basis)
+    R = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(basis), width),
+                      axis=1, count=a.shape[1], bitorder="little")
+    return R.astype(np.int64), [low.bit_length() - 1 for _, low in basis]
 
 
 def _eliminate(spec: FieldSpec, a: np.ndarray):
@@ -130,6 +180,9 @@ def matmul(spec: FieldSpec, a, b) -> np.ndarray:
     b = as_matrix(spec, b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    if spec.m == 1:
+        # exact: (p - 1)^2 * k < 2^63 for p < 2^16 and any k below 2^31
+        return a @ b % spec.p
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for k in range(a.shape[1]):
         colk = a[:, k]
@@ -175,8 +228,11 @@ def kernel_basis(spec: FieldSpec, a) -> np.ndarray:
     free column f, with x[free] = e_f and x[pivots] = -R[:, f] for the
     reduced row echelon form R of a."""
     a = as_matrix(spec, a)
-    ech, pivots = _eliminate(spec, a)
-    R = _reduce(spec, ech, pivots)[:len(pivots)]
+    if spec.q == 2:
+        R, pivots = _rref_packed(a)
+    else:
+        ech, pivots = _eliminate(spec, a)
+        R = _reduce(spec, ech, pivots)[:len(pivots)]
     free = [c for c in range(a.shape[1]) if c not in pivots]
     basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
     basis[:, free] = identity(len(free))

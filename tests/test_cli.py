@@ -573,3 +573,33 @@ def test_malformed_manifest_field_exit_code(case, request, tmp_path, capsys):
     assert cli.main(argv) == 4
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+
+
+def _drop_row(man):
+    man["maps"][1] = man["maps"][1][:-1]
+
+
+# case -> edit of an extractor bridge file that check-source must reject
+BRIDGE_EDITS = {
+    "role-unknown": lambda b: b.update(role="foo"),
+    "field-p-string": lambda b: b["field"].update(p="2"),
+    "irreducible-not-of-field": lambda b: b["field"].update(irreducible=[1, 0, 1]),
+    "entry-outside-field": lambda b: b["maps"][0][0].__setitem__(0, 2),
+    "entry-string": lambda b: b["maps"][0][0].__setitem__(0, "1"),
+    "map-missing-row": _drop_row,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRIDGE_EDITS))
+def test_check_source_malformed_bridge_exit_code(case, bridge_file, tmp_path, capsys):
+    """A bridge file with an unknown role, a field that is not integers or
+    whose irreducible does not fit it, or maps that are not integer
+    matrices of one shape in that field exits 4 with one JSON line."""
+    man = json.loads(bridge_file.read_text())
+    BRIDGE_EDITS[case](man)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(man))
+    capsys.readouterr()
+    assert cli.main(["check-source", "--bridge", str(bad), "--free", "0,1,2,3"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"

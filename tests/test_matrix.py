@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codefam import matrix as mx
 from codefam.gf import make_field
@@ -14,6 +15,52 @@ def naive_matmul(spec, a, b):
                 acc = spec.add(acc, spec.mul(int(a[i, k]), int(b[k, j])))
             out[i, j] = acc
     return out
+
+
+def column_loop_matmul(spec, a, b):
+    """The column loop `matrix.matmul` runs over extension fields, and ran
+    over prime fields too before they went to one int64 product."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for k in range(a.shape[1]):
+        colk = a[:, k]
+        nz = np.nonzero(colk)[0]
+        if len(nz) == 0:
+            continue
+        term = spec.mul(colk[nz][:, None], b[k][None, :])
+        out[nz] = spec.add(out[nz], term)
+    return out
+
+
+MATMUL_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(13, 1),
+                 make_field(257, 1), make_field(2, 2), make_field(2, 4)]
+
+
+def field_matrix(spec, rows, cols):
+    return st.lists(st.integers(0, spec.q - 1), min_size=rows * cols,
+                    max_size=rows * cols).map(
+        lambda v: np.array(v, dtype=np.int64).reshape(rows, cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matmul_matches_column_loop(data):
+    spec = data.draw(st.sampled_from(MATMUL_FIELDS))
+    r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a, b = data.draw(field_matrix(spec, r, k)), data.draw(field_matrix(spec, k, c))
+    assert np.array_equal(mx.matmul(spec, a, b), column_loop_matmul(spec, a, b))
+
+
+@pytest.mark.parametrize("spec", MATMUL_FIELDS, ids=lambda s: f"GF{s.q}")
+def test_matmul_inner_dimension_zero(spec):
+    out = mx.matmul(spec, np.zeros((3, 0), dtype=np.int64), np.zeros((0, 4), dtype=np.int64))
+    assert out.shape == (3, 4) and not out.any() and out.dtype == np.int64
+
+
+def test_matmul_prime_field_is_exact_at_the_largest_entries():
+    spec = make_field(65521, 1)
+    a = np.full((2, 300), spec.q - 1, dtype=np.int64)
+    want = (spec.q - 1) ** 2 * 300 % spec.q
+    assert (mx.matmul(spec, a, a.T) == want).all()
 
 
 def test_pack_rows_bit_layout():
