@@ -243,17 +243,27 @@ def _worst(blocks, total: int, walks, ncodes: int, stop: bool):
             return Fraction(0), (), total
         first = min(firsts)
         return Fraction(firsts.count(first), ncodes), _pattern_at(blocks, first), first + 1
-    ranges = [r for w in walks for r in w]
-    if not ranges:
+    events = sorted(e for w in walks for a, b, _ in w for e in ((a, 1), (b, -1)))
+    if not events:
         return Fraction(0), (), total
-    fails = np.cumsum(np.bincount([a for a, _, _ in ranges], minlength=total + 1)
-                      - np.bincount([b for _, b, _ in ranges], minlength=total + 1))
-    top = int(fails[:total].max())
-    hits = np.flatnonzero(fails[:total] == top)
+    # sweep the range ends in order: between two of them the fail count is
+    # constant, and the runs at the highest count hold every worst pattern
+    top, runs, count = 0, [], 0
+    for (x, d), (y, _) in zip(events, events[1:] + [(total, 0)]):
+        count += d
+        if x == y:
+            continue
+        if count > top:
+            top, runs = count, []
+        if count == top:
+            runs.append((x, y))
     # within a block scan order is lexicographic: its first hit is its smallest
-    bounds = np.searchsorted(hits, [b[0] for b in blocks] + [total])
-    witness = min(_pattern_at(blocks, int(hits[i]))
-                  for i, end in zip(bounds, bounds[1:]) if i < end)
+    firsts = [b[0] for b in blocks]
+    hits: dict[int, int] = {}
+    for x, y in runs:
+        for j in range(bisect_right(firsts, x) - 1, bisect_left(firsts, y)):
+            hits.setdefault(j, max(x, firsts[j]))
+    witness = min(_pattern_at(blocks, i) for i in hits.values())
     return Fraction(top, ncodes), witness, total
 
 

@@ -104,24 +104,6 @@ def _extend(spec: FieldSpec, basis: list, rows) -> bool:
     return True
 
 
-def _rref_packed(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The nonzero rows of the reduced row echelon form of a GF(2) matrix,
-    eliminated on packed rows, and its pivot columns."""
-    basis: list[tuple[int, int]] = []
-    for row in pack_rows(a):
-        if _extend_packed(basis, [row]):
-            # clear the new pivot from the rows above it
-            row, low = basis.pop()
-            basis = [(piv ^ row if piv & low else piv, b) for piv, b in basis]
-            basis.append((row, low))
-    basis.sort(key=lambda entry: entry[1])
-    width = (a.shape[1] + 7) // 8
-    packed = b"".join(piv.to_bytes(width, "little") for piv, _ in basis)
-    R = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(basis), width),
-                      axis=1, count=a.shape[1], bitorder="little")
-    return R.astype(np.int64), [low.bit_length() - 1 for _, low in basis]
-
-
 def _eliminate(spec: FieldSpec, a: np.ndarray):
     """Row-reduce a copy of `a` to row echelon form.
 
@@ -228,11 +210,8 @@ def kernel_basis(spec: FieldSpec, a) -> np.ndarray:
     free column f, with x[free] = e_f and x[pivots] = -R[:, f] for the
     reduced row echelon form R of a."""
     a = as_matrix(spec, a)
-    if spec.q == 2:
-        R, pivots = _rref_packed(a)
-    else:
-        ech, pivots = _eliminate(spec, a)
-        R = _reduce(spec, ech, pivots)[:len(pivots)]
+    ech, pivots = _eliminate(spec, a)
+    R = _reduce(spec, ech, pivots)[:len(pivots)]
     free = [c for c in range(a.shape[1]) if c not in pivots]
     basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
     basis[:, free] = identity(len(free))
