@@ -435,6 +435,8 @@ def cmd_check_source(a) -> int:
         raise InputError(f"bridge role {man['role']!r} is not extractor or condenser")
     lsm = _bridge_map(man)
     free = _ints(a.free)
+    if any(not 0 <= x < lsm.n for x in free):
+        raise InputError(f"--free: {free} not all in [0, {lsm.n})")
     if man["role"] == "extractor":
         res = br.extractor_error_on_source(lsm, free)
         out = {"role": "extractor", "free": free,

@@ -133,7 +133,7 @@ def _walk(code: UnitCode, blocks, stop: bool) -> list[tuple[int, int, bool]]:
     if code.spec.q == 2:
         cols, extend = mx.pack_rows(H.T), mx._extend_packed
     else:
-        cols, extend = list(H.T), partial(mx._extend, code.spec)
+        cols, extend = H.T.tolist(), partial(mx._extend, code.spec)
     cells = [[c for c in range(len(cols)) if unit >> c & 1] for unit in units]
     unit_cols = [[cols[c] for c in cs] for cs in cells]
     basis: list = []

@@ -18,7 +18,7 @@ encodings are reproducible and serialized objects self-describing.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count, product
 
 import numpy as np
@@ -49,6 +49,10 @@ MAX_ORDER = 1 << 16
 # Add-table is only materialized for small fields; larger ones fall back
 # to digit-wise vectorized addition.
 _ADD_TABLE_MAX_Q = 512
+
+# Row kernels of extension fields hold a q x q product table (as lists) up
+# to this order and read log/antilog lists above it.
+_ROW_TABLE_MAX_Q = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -188,13 +192,15 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, m: int, irreducible=None):
-        if not _is_prime(p):
-            raise NotPrime(f"p = {p} is not prime")
         if m < 1:
             raise FieldError(f"extension degree must be >= 1, got {m}")
-        q = p ** m
-        if q > MAX_ORDER:
+        # the order first, as the primality test divides up to sqrt(p); any
+        # m past MAX_ORDER's bit length overflows without computing p^m
+        if p > 1 and (m > MAX_ORDER.bit_length() or p ** m > MAX_ORDER):
             raise OrderTooLarge(f"q = {p}^{m} exceeds {MAX_ORDER}")
+        if not _is_prime(p):
+            raise NotPrime(f"p = {p} is not prime")
+        q = p ** m
         if irreducible is None:
             irreducible = smallest_irreducible(p, m)
         irreducible = tuple(int(c) % p for c in irreducible)
@@ -241,6 +247,72 @@ class FieldSpec:
         self._neg = None if p == 2 else self.from_digits(-D % p)
         self._add_table = (self.from_digits((D[:, None] + D) % p)
                            if p != 2 and self.m > 1 and q <= _ADD_TABLE_MAX_Q else None)
+
+    @cached_property
+    def _row_ops(self):
+        """(inverses, scale, sub_mul) for rows held as Python lists of
+        encodings: inverses[a] is 1/a, scale(f, row) is f*row and
+        sub_mul(dst, f, src) is dst - f*src, each one list comprehension.
+
+        Prime fields reduce mod p.  Extension fields look products up in the
+        row MUL[f] of a full table, and add by xor (p = 2) or an add table,
+        up to q = _ROW_TABLE_MAX_Q; above it products go through log/antilog
+        lists and odd-p sums through Zech logarithms, 1 + g^n = g^zech[n].
+        Private and built on first use, so a tracer that wraps the public
+        methods sees one span per elimination, not one per row.
+        """
+        p, q = self.p, self.q
+        if self.m == 1 and p != 2:
+            def scale(f, row):
+                return [x * f % p for x in row]
+
+            def sub_mul(dst, f, src):
+                return [(d - f * s) % p for d, s in zip(dst, src)]
+        elif q <= _ROW_TABLE_MAX_Q:
+            table = self._exp[self._log[:, None] + self._log]
+            table[0] = table[:, 0] = 0
+            mul = table.tolist()
+
+            def scale(f, row):
+                t = mul[f]
+                return [t[x] for x in row]
+
+            if p == 2:
+                def sub_mul(dst, f, src):
+                    t = mul[f]
+                    return [d ^ t[s] for d, s in zip(dst, src)]
+            else:
+                add, neg = self._add_table.tolist(), self._neg.tolist()
+
+                def sub_mul(dst, f, src):
+                    t = mul[neg[f]]
+                    return [add[d][t[s]] for d, s in zip(dst, src)]
+        else:
+            log, exp = self._log.tolist(), self._exp.tolist()
+
+            def scale(f, row):
+                lf = log[f]
+                return [exp[lf + log[x]] if x else 0 for x in row]
+
+            if p == 2:
+                def sub_mul(dst, f, src):
+                    lf = log[f]
+                    return [d ^ exp[lf + log[s]] if s else d for d, s in zip(dst, src)]
+            else:
+                one_plus = self._add_digitwise(1, self._exp[:q - 1], 1)
+                zech = np.where(one_plus == 0, -1, self._log[one_plus]).tolist()
+                neg, order = self._neg.tolist(), q - 1
+
+                def plus_power(d, e):  # d + g^e
+                    if not d:
+                        return exp[e]
+                    z = zech[(e - log[d]) % order]
+                    return exp[log[d] + z] if z >= 0 else 0
+
+                def sub_mul(dst, f, src):
+                    lf = log[neg[f]]
+                    return [plus_power(d, lf + log[s]) if s else d for d, s in zip(dst, src)]
+        return self._inv.tolist(), scale, sub_mul
 
     # -- arithmetic ----------------------------------------------------
 
@@ -322,6 +394,12 @@ class FieldSpec:
     def tag(self) -> str:
         """Self-describing header used by all file formats."""
         return f"{self.p}^{self.m} " + " ".join(str(c) for c in self.irreducible)
+
+    def __getstate__(self):
+        # the row kernel's closures do not pickle; it is rebuilt on first use
+        state = dict(self.__dict__)
+        state.pop("_row_ops", None)
+        return state
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)

@@ -4,20 +4,32 @@ Dense linear algebra over finite fields.
 Matrices are numpy int64 arrays of field-element encodings paired with a
 FieldSpec.  Everything here is exact; there is no floating point anywhere.
 
-Two performance paths for rank:
-  * GF(2): rows are packed into Python ints (arbitrary-precision bitmasks)
-    and elimination works with XOR on whole rows at once.
-  * general q: vectorized elimination, clearing a whole pivot column per
-    step with one table-lookup broadcast.
-
 Gauss-Jordan in two passes: `_eliminate` is the forward pass to row
 echelon form (all `rank` needs), `_reduce` the back pass that clears the
 entries above each pivot, giving the reduced row echelon form.  `solve`
 (one right-hand side or a matrix of them) and `kernel_basis` read their
-answers straight off the reduced form.
+answers straight off the reduced form.  Both passes have two paths,
+chosen by the matrix's cell count; the reduced form is unique, so they
+give the same answers:
+  * below ROW_PATH_CELLS cells, rows are Python lists and each pivot step
+    runs the field's row kernel (`FieldSpec._row_ops`: `f*row` and
+    `dst - f*src` as one list comprehension each, on table lookups or
+    arithmetic mod p).  At the sizes certificates and decoders meet
+    (n <= 16) a numpy call costs more than the arithmetic it does.
+  * from ROW_PATH_CELLS up, vectorized elimination clears a whole pivot
+    column per step with one table-lookup broadcast.
+ROW_PATH_CELLS = 512 is the measured crossover (2-core VM, numpy 2.4.6,
+geometric mean over GF(2), GF(3), GF(4), GF(9), GF(13), GF(16),
+GF(257), GF(2^10) and GF(3^6), per shape and operation): rows were
+2.2-4.7x faster at 64 cells, 1.1-2.4x at 256, 0.9-1.5x at 512 and
+0.6-1.1x at 1,024; tall matrices (many rows cleared per numpy call)
+favour the array path first.
+`rank` over GF(2) packs rows into Python ints (arbitrary-precision
+bitmasks) and eliminates with XOR on whole rows at once, at any size.
 
 `_extend_packed` and `_extend` grow an echelon basis one row at a time,
-for scans that add vectors to a basis and take them off again.
+for scans that add vectors to a basis and take them off again; `_extend`
+runs the same row kernel on list rows.
 """
 
 from __future__ import annotations
@@ -43,6 +55,10 @@ class Underdetermined:
 
 NO_SOLUTION = NoSolution()
 UNDERDETERMINED = Underdetermined()
+
+# Matrices with fewer cells than this are eliminated on row lists (the
+# measured crossover; see the module docstring).
+ROW_PATH_CELLS = 512
 
 
 def as_matrix(spec: FieldSpec, rows) -> np.ndarray:
@@ -90,26 +106,30 @@ def _extend_packed(basis: list, rows) -> bool:
 
 
 def _extend(spec: FieldSpec, basis: list, rows) -> bool:
-    """`_extend_packed` over any field: rows are vectors, and the basis
+    """`_extend_packed` over any field: rows are lists, and the basis
     holds (pivot column, row scaled to 1 there) pairs."""
+    inverses, scale, sub_mul = spec._row_ops
     for row in rows:
         for c, piv in basis:
             if row[c]:
-                row = spec.sub(row, spec.mul(int(row[c]), piv))
-        nz = np.flatnonzero(row)
-        if not len(nz):
+                row = sub_mul(row, row[c], piv)
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
             return False
-        c = int(nz[0])
-        basis.append((c, spec.mul(row, spec.inv(int(row[c])))))
+        basis.append((c, row if row[c] == 1 else scale(inverses[row[c]], row)))
     return True
 
 
 def _eliminate(spec: FieldSpec, a: np.ndarray):
     """Row-reduce a copy of `a` to row echelon form.
 
-    Returns (echelon matrix, pivot column list).  Rows below the last
-    pivot are zero.
+    Returns (echelon form, pivot column list): a list of row lists when `a`
+    has fewer than ROW_PATH_CELLS cells, else an array.  Rows below the
+    last pivot are zero.
     """
+    if 0 < a.size < ROW_PATH_CELLS:  # an empty a keeps its shape as an array
+        rows = a.tolist()
+        return rows, _eliminate_rows(spec, rows)
     m = a.copy()
     nrows, ncols = m.shape
     pivots = []
@@ -137,9 +157,42 @@ def _eliminate(spec: FieldSpec, a: np.ndarray):
     return m, pivots
 
 
-def _reduce(spec: FieldSpec, ech: np.ndarray, pivots) -> np.ndarray:
+def _eliminate_rows(spec: FieldSpec, m: list) -> list[int]:
+    """`_eliminate` on a list of row lists, in place, with the field's row
+    kernel; returns the pivot columns."""
+    inverses, scale, sub_mul = spec._row_ops
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r]
+        if piv[c] != 1:
+            piv = m[r] = scale(inverses[piv[c]], piv)
+        for i in range(r + 1, nrows):
+            if m[i][c]:
+                m[i] = sub_mul(m[i], m[i][c], piv)
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _reduce(spec: FieldSpec, ech, pivots):
     """Back pass: clear the entries above each pivot of an echelon form from
     `_eliminate`, in place, leaving its reduced row echelon form."""
+    if isinstance(ech, list):
+        sub_mul = spec._row_ops[2]
+        for r in range(len(pivots) - 1, 0, -1):
+            c, piv = pivots[r], ech[r]
+            for i in range(r):
+                if ech[i][c]:
+                    ech[i] = sub_mul(ech[i], ech[i][c], piv)
+        return ech
     for r in range(len(pivots) - 1, 0, -1):
         block = ech[:r, pivots[r]:]
         if np.count_nonzero(block[:, 0]):
@@ -195,12 +248,14 @@ def solve(spec: FieldSpec, a, b):
         raise ValueError("right-hand side shape mismatch")
     ncols = a.shape[1]
     rhs = b[:, None] if b.ndim == 1 else b
-    ech, pivots = _eliminate(spec, np.concatenate([a, rhs], axis=1))
+    aug = np.concatenate([a, rhs], axis=1)
+    ech, pivots = _eliminate(spec, aug)
     if pivots and pivots[-1] >= ncols:
         return NO_SOLUTION
     if len(pivots) < ncols:
         return UNDERDETERMINED
-    x = _reduce(spec, ech[:ncols], pivots)[:, ncols:]
+    R = _reduce(spec, ech[:ncols], pivots)
+    x = np.asarray(R, dtype=np.int64).reshape(ncols, aug.shape[1])[:, ncols:]
     # a copy, so the solution does not hold the whole augmented matrix alive
     return (x[:, 0] if b.ndim == 1 else x).copy()
 
@@ -212,6 +267,7 @@ def kernel_basis(spec: FieldSpec, a) -> np.ndarray:
     a = as_matrix(spec, a)
     ech, pivots = _eliminate(spec, a)
     R = _reduce(spec, ech, pivots)[:len(pivots)]
+    R = np.asarray(R, dtype=np.int64).reshape(len(pivots), a.shape[1])
     free = [c for c in range(a.shape[1]) if c not in pivots]
     basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
     basis[:, free] = identity(len(free))

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -603,3 +607,29 @@ def test_check_source_malformed_bridge_exit_code(case, bridge_file, tmp_path, ca
     assert cli.main(["check-source", "--bridge", str(bad), "--free", "0,1,2,3"]) == 4
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+
+
+@pytest.mark.parametrize("free", ["1,99", "1,-3"])
+def test_check_source_free_out_of_range_exit_code(free, bridge_file, capsys):
+    """--free positions outside [0, n) are malformed input and exit 4, as an
+    out-of-range decode --erased-rows does, not the infeasible-parameters 3."""
+    capsys.readouterr()
+    assert cli.main(["check-source", "--bridge", str(bridge_file), "--free", free]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+
+
+def test_check_source_huge_field_prime_exits_at_once(bridge_file, tmp_path):
+    """A bridge field whose p is the prime 2^61 - 1 exits 4 on its order,
+    without first testing p for primality by trial division (minutes)."""
+    man = json.loads(bridge_file.read_text())
+    man["field"]["p"] = 2 ** 61 - 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(man))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", "import sys; from codefam.cli import main; "
+                          "sys.exit(main(sys.argv[1:]))", "check-source", "--bridge", str(bad),
+                          "--free", "0,1"], capture_output=True, text=True, timeout=30, env=env)
+    assert run.returncode == 4
+    assert json.loads(run.stdout.splitlines()[-1])["error"] == "InputError"

@@ -1,9 +1,11 @@
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codefam import matrix as mx
 from codefam.code import code_from_text, code_to_text, reed_solomon
 from codefam.gf import (FieldSpec, FieldElement, make_field, parse_field_tag,
                         smallest_irreducible, NotPrime, OrderTooLarge,
@@ -262,3 +264,15 @@ def test_gf_2_16_irreducible_and_generator():
     n = f.q - 1  # 3 * 5 * 17 * 257
     assert oracle_pow(f, f.generator, n) == 1
     assert all(oracle_pow(f, f.generator, n // r) != 1 for r in (3, 5, 17, 257))
+
+
+@pytest.mark.parametrize("p,m", [(13, 1), (2, 4), (2, 10)])
+def test_field_pickles_after_its_row_kernel_is_built(p, m):
+    """FieldSpecs stay shareable with worker processes once an elimination
+    has built their (closure-holding) row kernel."""
+    f = FieldSpec(p, m)
+    a, b = np.array([[1, 2], [3, 1]]), np.array([1, 0])  # invertible in all three
+    want = mx.solve(f, a, b)
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and "_row_ops" not in vars(g)
+    assert np.array_equal(mx.solve(g, a, b), want)
