@@ -1,5 +1,5 @@
 """Erasure code families, symbol-fixing extractors, and graph codes."""
 
-from codefam.gf import FieldSpec, FieldElement, make_field
+from codefam.gf import FieldSpec, make_field
 
-__all__ = ["FieldSpec", "FieldElement", "make_field"]
+__all__ = ["FieldSpec", "make_field"]

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import UnitCode, dual_parity
+from codefam.code import UnitCode
 from codefam.ensemble import ErasureFamily
 from codefam.gf import FieldSpec
 
@@ -55,14 +55,9 @@ def family_to_extractor(F: ErasureFamily) -> LinearSeededMap:
     return LinearSeededMap(F.spec, [c.G for c in F.codes])
 
 
-def extractor_to_family(E: LinearSeededMap, delta, epsilon) -> ErasureFamily:
-    from codefam.code import LinearCode
-    return ErasureFamily([LinearCode(E.spec, G) for G in E.maps], delta, epsilon)
-
-
 def family_to_condenser(F: ErasureFamily) -> LinearSeededMap:
     """Seed z maps x to H_z x, H_z the dual parity of the z-th member."""
-    maps = [dual_parity(c) for c in F.codes]
+    maps = [c.unit_code.H for c in F.codes]
     if any(H.shape[0] == 0 for H in maps):
         raise BridgeError("rate-1 member has an empty parity matrix")
     return LinearSeededMap(F.spec, maps)

@@ -60,25 +60,6 @@ class DecodingFailure(Exception):
 BRUTE_FORCE_BOUND = 1 << 20
 
 
-class ErasurePattern:
-    """Set of erased codeword positions (0-based) for a length-n code."""
-
-    __slots__ = ("n", "erased")
-
-    def __init__(self, n: int, erased):
-        erased = frozenset(int(e) for e in erased)
-        if erased and (min(erased) < 0 or max(erased) >= n):
-            raise CodeError(f"erased positions out of range for n={n}")
-        self.n = n
-        self.erased = erased
-
-    def survivors(self) -> list[int]:
-        return [i for i in range(self.n) if i not in self.erased]
-
-    def __repr__(self):
-        return f"ErasurePattern(n={self.n}, erased={sorted(self.erased)})"
-
-
 class UnitCode:
     """A generator whose cells (columns) group into erasable units.
 
@@ -181,10 +162,6 @@ def encode(C: LinearCode, msg) -> np.ndarray:
 
 def corrects_pattern(C: LinearCode, pat) -> bool:
     """True iff the generator restricted to surviving columns has rank k."""
-    if isinstance(pat, ErasurePattern):
-        if pat.n != C.n:
-            raise LengthMismatch(f"pattern length {pat.n} != code length {C.n}")
-        pat = pat.erased
     return C.unit_code.corrects(pat)
 
 
@@ -525,36 +502,6 @@ def expand_code(C: LinearCode, sub: FieldSpec) -> LinearCode:
     return concatenate(C, inner)
 
 
-class TensorCode:
-    """Tensor product: matrices whose columns lie in C1 and rows in C2."""
-
-    def __init__(self, C1: LinearCode, C2: LinearCode):
-        if C1.spec != C2.spec:
-            raise CodeError("tensor factors must share a field")
-        self.spec = C1.spec
-        self.C1 = C1
-        self.C2 = C2
-        self.shape = (C1.n, C2.n)
-        self.k = C1.k * C2.k
-
-    def encode(self, msg) -> np.ndarray:
-        """msg: (k1, k2) array -> (n1, n2) codeword G1^T msg G2."""
-        msg = np.asarray(msg, dtype=np.int64)
-        if msg.shape != (self.C1.k, self.C2.k):
-            raise LengthMismatch(f"message shape {msg.shape}")
-        tmp = mx.matmul(self.spec, self.C1.G.T, msg)
-        return mx.matmul(self.spec, tmp, self.C2.G)
-
-    def basis(self) -> np.ndarray:
-        """(k1*k2, n1*n2) generator; row (i*k2+j) encodes unit message e_ij."""
-        return unit_generator(
-            lambda e: self.encode(e.reshape(self.C1.k, self.C2.k)), self.k)
-
-
-def tensor(C1: LinearCode, C2: LinearCode) -> TensorCode:
-    return TensorCode(C1, C2)
-
-
 def _int_to_vec(v: int, q: int, n: int) -> np.ndarray:
     """Base-q digits of v, most significant digit first (canonical order)."""
     out = np.zeros(n, dtype=np.int64)
@@ -613,20 +560,10 @@ def plotkin_rate_bound(q: int, delta) -> Fraction:
     return max(Fraction(0), bound)
 
 
-def dual_parity(C: LinearCode) -> np.ndarray:
-    """(n-k) x n parity matrix H with G H^T = 0 (possibly 0 rows), read-only."""
-    return C.unit_code.H
-
-
 # ----------------------------------------------------------------------
 # Serialization: line 1 "field p m <irreducible coeffs>", line 2 "k n",
 # then k rows of n integers.
 # ----------------------------------------------------------------------
-
-def save_code(C: LinearCode, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(code_to_text(C))
-
 
 def code_to_text(C: LinearCode) -> str:
     lines = [f"field {C.spec.p} {C.spec.m} " + " ".join(map(str, C.spec.irreducible)),
@@ -649,8 +586,3 @@ def code_from_text(text: str) -> LinearCode:
     if G.shape != (k, n):
         raise CodeError("bad code file: generator shape mismatch")
     return LinearCode(spec, G)
-
-
-def load_code(path: str) -> LinearCode:
-    with open(path) as fh:
-        return code_from_text(fh.read())

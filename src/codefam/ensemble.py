@@ -10,14 +10,14 @@ search for tiny inner ensembles.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, combinations, combinations_with_replacement, product
+from operator import and_
 
 import numpy as np
 
@@ -198,9 +198,9 @@ def scan_patterns(axes, codes: list[UnitCode], mode: str = "exhaustive",
     patterns by size, then in lexicographic order, within `budget` rank
     checks (one per pattern and code), walking each code's patterns on the
     dual side (`_walk`); with no failures it names no pattern.  Monte Carlo
-    mode draws `budget` patterns of the largest sizes and checks each with
-    `UnitCode.corrects`.  stop_at_failure ends the scan at the first
-    failing pattern.  The notes count the prefixes whose completions the
+    mode draws `budget` (at least one) patterns of the largest sizes and
+    checks each with `UnitCode.corrects`.  stop_at_failure ends the scan at
+    the first failing pattern.  The notes count the prefixes whose completions the
     walks failed in bulk and, summed over codes, those completions among
     the patterns tested.
     """
@@ -219,6 +219,8 @@ def scan_patterns(axes, codes: list[UnitCode], mode: str = "exhaustive",
         raise EnsembleError(f"unknown mode {mode!r}")
     if rng_seed is None:
         raise EnsembleError("montecarlo mode requires rng_seed")
+    if budget < 1:
+        raise BudgetExceeded(f"montecarlo budget {budget} draws no pattern")
     rng = random.Random(rng_seed)
     starts = list(accumulate((n for n, _, _ in axes), initial=0))
     worst, witness, tested = Fraction(0), None, 0
@@ -420,26 +422,18 @@ def exhaustive_inner_search(spec: FieldSpec, L: int, delta_in, mu,
     codes = [LinearCode(spec, G) for G in gens]
     s = math.floor(delta_in * L)
     patterns = list(combinations(range(L), s))
-    # per-code correctable-pattern bitmask, shared across ensembles
-    masks = []
-    for c in codes:
-        m = 0
-        for idx, pat in enumerate(patterns):
-            if corrects_pattern(c, pat):
-                m |= 1 << idx
-        masks.append(m)
-    allowed_fails = mu * family_size
+    # per-code bitmask of the patterns it fails, shared across ensembles
+    fails = [sum(1 << i for i, pat in enumerate(patterns) if not corrects_pattern(c, pat))
+             for c in codes]
+    # an ensemble fails a pattern when more than mu * family_size of its
+    # members (with multiplicity) fail it: some `crowd` of them share a bit
+    crowd = max(0, math.floor(mu * family_size) + 1)
+    everything = (1 << len(patterns)) - 1
     SEARCH_STATS["calls"] += 1
     for combo in combinations_with_replacement(range(len(codes)), family_size):
         SEARCH_STATS["ensembles_examined"] += 1
-        ok = True
-        for idx in range(len(patterns)):
-            bit = 1 << idx
-            fails = sum(1 for ci in combo if not masks[ci] & bit)
-            if fails > allowed_fails:
-                ok = False
-                break
-        if ok:
+        if not any(reduce(and_, (fails[ci] for ci in sub), everything)
+                   for sub in combinations(combo, crowd)):
             return ErasureFamily([codes[ci] for ci in combo], delta_in, mu)
     raise SearchExhausted(
         f"no size-{family_size} ensemble of [{L},{k}] codes over "
@@ -480,14 +474,3 @@ def family_from_manifest(man: dict) -> ErasureFamily:
     codes = [code_from_text(t) for t in man["codes"]]
     return ErasureFamily(codes, fraction_from_text(man["delta"]),
                          fraction_from_text(man["epsilon"]))
-
-
-def save_family(F: ErasureFamily, path: str, provenance: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(family_to_manifest(F, provenance), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_family(path: str) -> ErasureFamily:
-    with open(path) as fh:
-        return family_from_manifest(json.load(fh))

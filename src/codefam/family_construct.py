@@ -16,7 +16,7 @@ erases no whole row or column (erasures are marked cell by cell);
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +32,6 @@ class ParamMismatch(ValueError):
     pass
 
 
-FROZEN = -1
 DISCARDED = -1
 
 
@@ -96,33 +95,15 @@ class PlacementMap:
     """Per-seed mapping between inner-symbol slots and codeword positions.
 
     slot_to_pos[i, j] is the position carrying slot j of block i, or
-    DISCARDED.  pos_block/pos_slot invert it, with FROZEN marking surplus
-    positions of overfull blocks.
+    DISCARDED; the surplus positions of overfull blocks appear nowhere in
+    it (they are frozen to zero).
     """
 
     def __init__(self, sh: Shuffler, L: int, z: int):
-        blocks = sh.blocks(z)
-        M = sh.M
-        self.L = L
-        self.z = z
-        self.slot_to_pos = np.full((M, L), DISCARDED, dtype=np.int64)
-        self.pos_block = np.full(sh.N, FROZEN, dtype=np.int64)
-        self.pos_slot = np.full(sh.N, FROZEN, dtype=np.int64)
-        for i, blk in enumerate(blocks):
-            for j, x in enumerate(blk):
-                if j < L:
-                    self.slot_to_pos[i, j] = x
-                    self.pos_block[x] = i
-                    self.pos_slot[x] = j
-                # positions past slot L stay FROZEN
-
-    def frozen_positions(self) -> list[int]:
-        return [x for x in range(len(self.pos_block)) if self.pos_block[x] == FROZEN]
-
-    def discarded_slots(self) -> list[tuple[int, int]]:
-        M, L = self.slot_to_pos.shape
-        return [(i, j) for i in range(M) for j in range(L)
-                if self.slot_to_pos[i, j] == DISCARDED]
+        self.slot_to_pos = np.full((sh.M, L), DISCARDED, dtype=np.int64)
+        for i, blk in enumerate(sh.blocks(z)):
+            blk = blk[:L]
+            self.slot_to_pos[i, :len(blk)] = blk
 
 
 def placement(p: ShuffledFamilyParams, z: int) -> PlacementMap:
@@ -173,10 +154,6 @@ def build_family(p: ShuffledFamilyParams) -> ErasureFamily:
     return ErasureFamily(codes, p.delta, p.epsilon)
 
 
-def member_index(p: ShuffledFamilyParams, z: int, ci: int) -> int:
-    return z * len(p.inner) + ci
-
-
 @dataclass
 class ConstructionPlan:
     q: int
@@ -188,7 +165,6 @@ class ConstructionPlan:
     balance_triple: tuple[Fraction, Fraction, Fraction]
     inner_size_min: int
     inner_n_min: int
-    checklist: list[str] = field(default_factory=list)
 
 
 def plan_parameters(q: int, delta, eta, epsilon) -> ConstructionPlan:
@@ -206,14 +182,5 @@ def plan_parameters(q: int, delta, eta, epsilon) -> ConstructionPlan:
     mu = epsilon * eta / 6
     delta_in = delta + 2 * eta
     t_min, n_min = existence_params(q, delta_in, eta, mu)
-    triple = (epsilon / 3, eta / 4, eta)
-    checklist = [
-        f"outer code: relative distance > eta = {eta}",
-        f"inner family: [L, {delta_in}, {mu}] with >= {t_min} members, L >= {n_min}",
-        f"shuffler size balance at (eps1, eps2, eps3) = "
-        f"({triple[0]}, {triple[1]}, {triple[2]})",
-        f"shuffler survivor balance at the same triple for every tested S",
-        f"family verification: worst failing fraction <= epsilon = {epsilon}",
-    ]
-    return ConstructionPlan(q, delta, eta, epsilon, delta_in, mu, triple,
-                            t_min, n_min, checklist)
+    return ConstructionPlan(q, delta, eta, epsilon, delta_in, mu,
+                            (epsilon / 3, eta / 4, eta), t_min, n_min)

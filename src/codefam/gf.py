@@ -36,10 +36,6 @@ class OrderTooLarge(FieldError):
     pass
 
 
-class SpecMismatch(FieldError):
-    pass
-
-
 class DivisionByZero(ZeroDivisionError):
     pass
 
@@ -379,9 +375,6 @@ class FieldSpec:
 
     # -- representation helpers ----------------------------------------
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
-
     def to_digits(self, v):
         """Base-p digit vector(s) of encoding(s); digit 0 first."""
         return self._digit_table[v]
@@ -390,10 +383,6 @@ class FieldSpec:
         """Encoding(s) of base-p digit vector(s); the inverse of to_digits."""
         out = np.asarray(ds, dtype=np.int64) @ self._place
         return out if out.ndim else int(out)
-
-    def tag(self) -> str:
-        """Self-describing header used by all file formats."""
-        return f"{self.p}^{self.m} " + " ".join(str(c) for c in self.irreducible)
 
     def __getstate__(self):
         # the row kernel's closures do not pickle; it is rebuilt on first use
@@ -413,51 +402,6 @@ class FieldSpec:
         return f"FieldSpec(GF({self.p}^{self.m}), irr={list(self.irreducible)})"
 
 
-class FieldElement:
-    """Thin element wrapper with operator sugar; encodes as spec + int."""
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: FieldSpec, value: int):
-        if not 0 <= value < spec.q:
-            raise FieldError(f"value {value} out of range for q={spec.q}")
-        self.spec = spec
-        self.value = int(value)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise SpecMismatch("elements from different fields")
-            return other.value
-        return int(other)
-
-    def __add__(self, other):
-        return FieldElement(self.spec, self.spec.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.spec, self.spec.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.spec, self.spec.mul(self.value, self._coerce(other)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow(self.value, e))
-
-    def inverse(self):
-        return FieldElement(self.spec, self.spec.inv(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.value == other.value
-        return self.value == other
-
-    def __hash__(self):
-        return hash((self.spec, self.value))
-
-    def __repr__(self):
-        return f"FieldElement({self.value} in GF({self.spec.p}^{self.spec.m}))"
-
-
 @lru_cache(maxsize=None)
 def _cached_field(p: int, m: int, irreducible) -> FieldSpec:
     return FieldSpec(p, m, irreducible)
@@ -467,10 +411,3 @@ def make_field(p: int, m: int, irreducible=None) -> FieldSpec:
     """GF(p^m), by default with the smallest irreducible; cached, so each
     (p, m, irreducible) is built once."""
     return _cached_field(p, m, irreducible if irreducible is None else tuple(irreducible))
-
-
-def parse_field_tag(tokens: list[str]) -> FieldSpec:
-    """Inverse of FieldSpec.tag(), consuming tokens 'p^m c0 ... cm'."""
-    p_s, m_s = tokens[0].split("^")
-    p, m = int(p_s), int(m_s)
-    return make_field(p, m, tuple(int(t) for t in tokens[1:2 + m]))

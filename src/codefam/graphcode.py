@@ -240,10 +240,6 @@ class NearlyMDSCode(_ColumnSymbols):
     def rate(self) -> Fraction:
         return Fraction(self.k_total, self.M_rows * self.N)
 
-    @property
-    def log_Q(self) -> int:
-        return self.M_rows  # Q = q^M_rows
-
 
 def build_nearly_mds(q: int, N: int, delta, eta, *, M: int = 4,
                      rng_seed: int = 0, budget: int = 200,
@@ -309,10 +305,6 @@ class ImprovedNearlyMDSCode(_ColumnSymbols):
     def rate(self) -> Fraction:
         return Fraction(self.k_total, self.D * self.N)
 
-    @property
-    def log_Q(self) -> int:
-        return self.D  # columns read as F_{q^D} symbols
-
 
 def build_nearly_mds_improved(q: int, N: int, delta, eta, *, M_b: int = 2,
                               D: int = 4, rng_seed: int = 0) -> ImprovedNearlyMDSCode:
@@ -320,7 +312,8 @@ def build_nearly_mds_improved(q: int, N: int, delta, eta, *, M_b: int = 2,
 
     Inner: single RS over F_{q^e}, e the smallest exponent with
     q^e >= L / e for some divisor split of the block length L = N / M_b.
-    Outer: single RS over F_{q^ell} of length M_b * D whose distance covers
+    Outer: single RS over F_{q^ell}, ell = k_inner * e, of length M_b * D
+    (so only k_inner with q^ell >= M_b * D qualify) whose distance covers
     the worst case of floor(f / (inner erasure tolerance + 1)) failing
     blocks per seed, f = floor(delta * N).
     """
@@ -343,6 +336,8 @@ def build_nearly_mds_improved(q: int, N: int, delta, eta, *, M_b: int = 2,
     f = math.floor(delta * N)
     best = None
     for k_inner in range(1, L2 + 1):
+        if q ** (k_inner * e) < M_b * D:         # outer alphabet too small for its length
+            continue
         tol = L2 - k_inner                       # inner erasure tolerance
         fail_per_seed = f // (tol + 1)
         total_fail = D * fail_per_seed

@@ -51,9 +51,6 @@ class Shuffler:
         self.kind = kind
         self.params = dict(params or {})
 
-    def assign(self, x: int, z: int) -> int:
-        return int(self.table[z, x])
-
     def blocks(self, z: int) -> list[list[int]]:
         """The partition S_0^z ... S_{M-1}^z, each in ascending order."""
         if not 0 <= z < self.D:
@@ -77,10 +74,6 @@ class BalanceCertificate:
     violations_per_seed: list[int]
     overall_pass: bool = False
     notes: dict = field(default_factory=dict)
-
-    @property
-    def failing_seed_fraction(self) -> Fraction:
-        return Fraction(sum(1 for p in self.seed_pass if not p), len(self.seed_pass))
 
 
 def check_balance(sh: Shuffler, S, eps1, eps2, eps3) -> BalanceCertificate:
@@ -174,13 +167,3 @@ def shuffler_from_text(text: str) -> Shuffler:
     table = np.array([[int(x) for x in lines[1 + z].split()] for z in range(D)],
                      dtype=np.int64)
     return Shuffler(N, D, M, table, kind="custom")
-
-
-def save_shuffler(sh: Shuffler, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(shuffler_to_text(sh))
-
-
-def load_shuffler(path: str) -> Shuffler:
-    with open(path) as fh:
-        return shuffler_from_text(fh.read())

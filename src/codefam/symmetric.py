@@ -58,9 +58,6 @@ class MatrixSpaceCode:
         self.G = G
         self.dim = mx.rank(spec, G)
 
-    def basis_matrices(self):
-        return [row.reshape(self.side, self.side) for row in self.G]
-
 
 def symmetric_tensor(spec: FieldSpec, A) -> MatrixSpaceCode:
     """The code {A^T M A : M symmetric k x k}, dimension k(k+1)/2.
@@ -117,10 +114,6 @@ class OuterGraphCode:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def block(self, X: np.ndarray, i: int, j: int) -> np.ndarray:
-        e = self.ell
-        return X[i * e:(i + 1) * e, j * e:(j + 1) * e]
 
 
 def build_outer_graph(q: int, n: int, ell: int, delta_prime,

@@ -24,7 +24,7 @@ def test_family_extractor_roundtrip():
     F = family_F2()
     E = br.family_to_extractor(F)
     assert (E.D, E.m, E.n) == (3, 2, 3)
-    back = br.extractor_to_family(E, F.delta, F.epsilon)
+    back = ens.ErasureFamily([cd.LinearCode(E.spec, G) for G in E.maps], F.delta, F.epsilon)
     for a, b in zip(F.codes, back.codes):
         assert np.array_equal(a.G, b.G)
 

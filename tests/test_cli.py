@@ -165,6 +165,18 @@ def test_rebuild_is_byte_identical(fam_manifest, tmp_path):
     assert workers.read_bytes() == fam_manifest.read_bytes()
 
 
+
+def test_nearly_mds_improved_skips_outer_field_too_small(tmp_path):
+    """At delta = 1/6 the highest-rate inner dimension (k_inner = 1 over GF(4))
+    leaves the outer code over GF(4) with 8 blocks to cover; the planner
+    passes it over for k_inner = 2, whose outer code is over GF(16)."""
+    man, rep = tmp_path / "nmi.json", tmp_path / "rep.json"
+    assert cli.main(["build-graph", "--kind", "nearly-mds-improved", "--q", "2", "--N", "12",
+                     "--delta", "1/6", "--eta", "1/2", "--out", str(man)]) == 0
+    assert json.loads(man.read_text())["rate"] == "1/3"
+    assert cli.main(["verify-graph", "--code", str(man), "--out", str(rep)]) == 0
+    assert json.loads(rep.read_text())["patterns_tested"] == 66  # every 2 of 12 columns
+
 BIPARTITE_ARGS = ["build-graph", "--kind", "bipartite", "--q", "2", "--M", "4",
                   "--N", "8", "--drow", "1/4", "--dcol", "1/4", "--eta", "1/4",
                   "--seed", "1", "--ell", "2", "--ell0", "2", "--k-row", "2",
@@ -207,6 +219,23 @@ def test_verify_graph_honours_mode_and_budget(bp_manifest, tmp_path):
     # the exhaustive scan needs 112 rank checks
     assert cli.main(["verify-graph", "--code", str(bp_manifest),
                      "--budget", "100"]) == 3
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("command,flag,manifest", [
+    ("verify-family", "--manifest", "fam_manifest"),
+    ("verify-graph", "--code", "bp_manifest"),
+])
+def test_montecarlo_budget_below_one_exit_code(command, flag, manifest, budget, request,
+                                               tmp_path, capsys):
+    """A Monte Carlo scan that draws no pattern is no certificate: exit 3, no report."""
+    rep = tmp_path / "rep.json"
+    assert cli.main([command, flag, str(request.getfixturevalue(manifest)), "--mode",
+                     "montecarlo", "--budget", budget, "--seed", "5",
+                     "--out", str(rep)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "BudgetExceeded"
+    assert not rep.exists()
 
 
 @pytest.mark.parametrize("case", ["family-empty", "graph-no-params", "bad-rows",

@@ -41,13 +41,11 @@ def test_generator_must_be_full_rank():
 
 
 def test_erasure_pattern_validation():
-    with pytest.raises(cd.CodeError):
-        cd.ErasurePattern(4, {4})
-    pat = cd.ErasurePattern(4, {1, 3})
-    assert pat.survivors() == [0, 2]
     C = cd.reed_solomon(f5, 2, 5)
-    with pytest.raises(cd.LengthMismatch):
-        cd.corrects_pattern(C, cd.ErasurePattern(4, {0}))
+    assert cd.corrects_pattern(C, {1, 3}) and not cd.corrects_pattern(C, {0, 1, 3, 4})
+    for pat in ({5}, {-1}):
+        with pytest.raises(cd.CodeError):
+            cd.corrects_pattern(C, pat)
 
 
 def test_corrects_pattern_matches_brute_force():
@@ -167,21 +165,6 @@ def test_expand_code_preserves_erasure_behavior():
         assert cd.corrects_pattern(E, bits) == cd.corrects_pattern(C, S)
 
 
-def test_tensor_code_rows_and_columns():
-    C1 = cd.LinearCode(f2, [[1, 0, 1], [0, 1, 1]])
-    C2 = cd.reed_solomon(f2, 1, 2)
-    T = cd.tensor(C1, C2)
-    msg = np.array([[1, 0], [1, 1]], dtype=np.int64)[:, :1]
-    X = T.encode(msg)
-    assert X.shape == (3, 2)
-    # every column of X lies in C1, every row in C2
-    for j in range(2):
-        assert mx.rank(f2, np.concatenate([C1.G, X[:, j][None, :]])) == C1.k
-    basis = T.basis()
-    assert basis.shape == (T.k, 6)
-    assert mx.rank(f2, basis) == T.k
-
-
 def test_gv_search_known_instances():
     C = cd.gv_search(f2, 4, 2)
     assert (C.n, C.k) == (4, 3)        # even-weight code
@@ -201,20 +184,17 @@ def test_plotkin_rate_bound():
 
 def test_dual_parity():
     C = cd.reed_solomon(f5, 2, 5)
-    H = cd.dual_parity(C)
+    H = C.unit_code.H
     assert H.shape == (3, 5)
     assert not mx.matmul(f5, C.G, H.T).any()
     assert mx.rank(f5, H) == 3
 
 
-def test_serialization_roundtrip(tmp_path):
+def test_serialization_roundtrip():
     C = cd.reed_solomon(make_field(2, 2), 2, 4)
     text = cd.code_to_text(C)
     D = cd.code_from_text(text)
     assert D.spec == C.spec
     assert np.array_equal(D.G, C.G)
-    path = tmp_path / "code.txt"
-    cd.save_code(C, str(path))
-    assert np.array_equal(cd.load_code(str(path)).G, C.G)
     # byte stability
     assert cd.code_to_text(D) == text

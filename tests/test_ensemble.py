@@ -1,10 +1,12 @@
+import math
 import random
 from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, combinations_with_replacement, count
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from codefam import code as cd
 from codefam import ensemble as ens
@@ -161,21 +163,70 @@ def test_exhaustive_inner_search_instrumented_and_exhausted():
         ens.exhaustive_inner_search(f2, 2, Fraction(1, 2), Fraction(0), 1, k=2)
 
 
-def test_manifest_roundtrip(tmp_path):
+def oracle_inner_search(spec, L, delta_in, mu, family_size, k):
+    """The search as it was before its fail-mask ANDs, counting the failing
+    members of each pattern in turn: the first qualifying ensemble's
+    generators (None when none qualifies) and the ensembles examined."""
+    codes = [cd.LinearCode(spec, G) for G in ens._rref_generators(spec, k, L)]
+    patterns = list(combinations(range(L), math.floor(delta_in * L)))
+    masks = []
+    for c in codes:
+        m = 0
+        for idx, pat in enumerate(patterns):
+            if cd.corrects_pattern(c, pat):
+                m |= 1 << idx
+        masks.append(m)
+    examined = 0
+    for combo in combinations_with_replacement(range(len(codes)), family_size):
+        examined += 1
+        ok = True
+        for idx in range(len(patterns)):
+            fails = sum(1 for ci in combo if not masks[ci] & 1 << idx)
+            if fails > mu * family_size:
+                ok = False
+                break
+        if ok:
+            return [codes[ci].G.tolist() for ci in combo], examined
+    return None, examined
+
+
+@st.composite
+def inner_searches(draw):
+    L = draw(st.integers(1, 5))
+    b = draw(st.integers(1, 3))
+    return (draw(st.sampled_from([2, 3])), L, Fraction(draw(st.integers(0, L - 1)), L),
+            Fraction(draw(st.integers(0, b - 1)), b), draw(st.integers(1, 3)),
+            draw(st.integers(1, min(L, 3))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inner_searches())
+@example((2, 2, Fraction(1, 2), Fraction(0), 1, 2))      # exhausted: [2,2] corrects nothing
+@example((2, 5, Fraction(2, 5), Fraction(1, 3), 3, 1))
+def test_inner_search_matches_count_per_pattern_oracle(case):
+    q, L, delta_in, mu, size, k = case
+    spec = make_field(q, 1)
+    codes = len(ens._rref_generators(spec, k, L))
+    assume(math.comb(codes + size - 1, size) <= 3000)
+    want = oracle_inner_search(spec, L, delta_in, mu, size, k)
+    before = ens.SEARCH_STATS["ensembles_examined"]
+    try:
+        got = [c.G.tolist() for c in ens.exhaustive_inner_search(spec, L, delta_in, mu,
+                                                                  size, k=k).codes]
+    except ens.SearchExhausted:
+        got = None
+    assert (got, ens.SEARCH_STATS["ensembles_examined"] - before) == want
+
+
+def test_manifest_roundtrip():
     F = family_F2()
     man = ens.family_to_manifest(F, {"note": "unit"})
     G = ens.family_from_manifest(man)
     assert (G.n, G.k, G.delta, G.epsilon) == (F.n, F.k, F.delta, F.epsilon)
     for a, b in zip(F.codes, G.codes):
         assert np.array_equal(a.G, b.G)
-    path = tmp_path / "fam.json"
-    ens.save_family(F, str(path))
-    H = ens.load_family(str(path))
-    assert len(H) == len(F)
-    # byte stability of the file
-    text = path.read_text()
-    ens.save_family(H, str(path))
-    assert path.read_text() == text
+    # the manifest of the read-back family is the same manifest
+    assert ens.family_to_manifest(G, {"note": "unit"}) == man
 
 
 def test_family_validation():

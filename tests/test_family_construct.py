@@ -27,7 +27,6 @@ def test_plan_parameters_fixture():
     assert plan.delta_in == Fraction(55, 56)
     assert plan.balance_triple == (Fraction(1, 6), Fraction(3, 28), Fraction(3, 7))
     assert plan.inner_size_min >= 1
-    assert len(plan.checklist) == 5
 
 
 def test_plan_parameters_infeasible():
@@ -55,26 +54,32 @@ def test_outer_distance_certificate(fixture_params):
     assert cert["passed"] is True
 
 
+def frozen_positions(pm, N):
+    return sorted(set(range(N)) - set(pm.slot_to_pos.flat))
+
+
+def discarded_slots(pm):
+    return [tuple(s) for s in np.argwhere(pm.slot_to_pos == fc.DISCARDED).tolist()]
+
+
 def test_placement_accounting(fixture_params):
     p = fixture_params
     for z in range(p.D):
         pm = fc.placement(p, z)
         # N = L*M and the shuffler is balanced, so no freezing/discarding here
-        assert pm.frozen_positions() == []
-        assert pm.discarded_slots() == []
-        # slot_to_pos and pos_block/pos_slot are mutually inverse
-        for i in range(p.M):
-            for j in range(p.L):
-                x = pm.slot_to_pos[i, j]
-                assert pm.pos_block[x] == i and pm.pos_slot[x] == j
+        assert frozen_positions(pm, p.N) == []
+        assert discarded_slots(pm) == []
+        # slot j of block i is the j-th position of S_i^z
+        for i, blk in enumerate(p.sh.blocks(z)):
+            assert pm.slot_to_pos[i].tolist() == blk
 
 
 def test_placement_freeze_and_discard():
     # custom unbalanced shuffler: block 0 overfull, block 1 underfull
     sh = sf.Shuffler(4, 1, 2, [[0, 0, 0, 1]])
     pm = fc.PlacementMap(sh, L=2, z=0)
-    assert pm.frozen_positions() == [2]          # third position of block 0
-    assert pm.discarded_slots() == [(1, 1)]      # block 1 short one slot
+    assert frozen_positions(pm, 4) == [2]        # third position of block 0
+    assert discarded_slots(pm) == [(1, 1)]       # block 1 short one slot
 
 
 def test_encode_decode_roundtrip(fixture_params):
@@ -106,7 +111,7 @@ def test_build_family_and_indexing(fixture_params):
     assert (fam.n, fam.k) == (16, 3)
     assert fam.rate == p.rate
     G = fc.member_generator(p, 3, 1)
-    assert np.array_equal(fam.codes[fc.member_index(p, 3, 1)].G, G)
+    assert np.array_equal(fam.codes[3 * len(p.inner) + 1].G, G)   # z * |inner| + ci
     assert ens.verify_family(fam).passed
 
 

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from codefam import matrix as mx
 from codefam.code import code_from_text, code_to_text, reed_solomon
-from codefam.gf import (FieldSpec, FieldElement, make_field, parse_field_tag,
-                        smallest_irreducible, NotPrime, OrderTooLarge,
-                        DivisionByZero, FieldError)
+from codefam.gf import (FieldSpec, make_field, smallest_irreducible, NotPrime,
+                        OrderTooLarge, DivisionByZero, FieldError)
 
 
 def test_prime_field_matches_int_mod_p():
@@ -93,12 +92,6 @@ def test_digits_roundtrip():
     assert np.array_equal(back, v)
 
 
-def test_tag_roundtrip():
-    f = make_field(2, 4)
-    g = parse_field_tag(f.tag().split())
-    assert g == f
-
-
 def test_pow_edge_cases():
     f = make_field(5, 1)
     assert f.pow(0, 0) == 1
@@ -119,27 +112,14 @@ def test_errors():
         FieldSpec(2, 2, (1, 0, 1))  # x^2 + 1 reducible over GF(2)
 
 
-def test_field_element_operators():
-    f = make_field(2, 2)
-    a = f.element(2)
-    b = f.element(3)
-    assert (a + b).value == f.add(2, 3)
-    assert (a * b).value == f.mul(2, 3)
-    assert (a ** 3).value == f.pow(2, 3)
-    assert (a.inverse() * a).value == 1
-    with pytest.raises(FieldError):
-        FieldElement(f, 7)
-
-
 def test_make_field_cached():
     assert make_field(2, 3) is make_field(2, 3)
 
 
 def test_make_field_cached_per_irreducible():
-    """One FieldSpec per (p, m, irreducible): code texts and field tags reuse it."""
+    """One FieldSpec per (p, m, irreducible): code texts reuse it."""
     f = make_field(3, 2, (2, 1, 1))
     assert f is make_field(3, 2, [2, 1, 1]) and f != make_field(3, 2)
-    assert parse_field_tag(f.tag().split()) is f
     text = code_to_text(reed_solomon(f, 2, 4))
     assert code_from_text(text).spec is code_from_text(text).spec is f
 

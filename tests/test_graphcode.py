@@ -93,7 +93,6 @@ def test_nearly_mds_fixture():
                              eps_fam=Fraction(1, 4))
     assert nm.rate == Fraction(1, 4)
     assert nm.rate >= 1 - nm.delta - nm.eta
-    assert nm.log_Q == 4
     rng = np.random.default_rng(8)
     msg = rng.integers(0, 2, size=nm.k_total, dtype=np.int64)
     X = nm.encode_columns(msg)

@@ -173,3 +173,11 @@ def test_budget_counts_one_check_per_pattern_and_code():
     assert ens.scan_patterns(axes, [C, C], budget=12)[2] == math.comb(4, 2)
     with pytest.raises(ens.BudgetExceeded, match="12 rank checks exceed budget 11"):
         ens.scan_patterns(axes, [C, C], budget=11)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_montecarlo_budget_below_one_draws_nothing_and_raises(budget):
+    C = cd.LinearCode(f2, [[1, 0, 1, 1], [0, 1, 1, 0]]).unit_code
+    with pytest.raises(ens.BudgetExceeded):
+        ens.scan_patterns([(4, 2, 2)], [C], mode="montecarlo", budget=budget, rng_seed=1)
+    assert ens.scan_patterns([(4, 2, 2)], [C], mode="montecarlo", budget=1, rng_seed=1)[2] == 1

@@ -16,7 +16,7 @@ def test_blocks_partition_and_order():
             assert blk == sorted(blk)
         for i, blk in enumerate(blocks):
             for x in blk:
-                assert sh.assign(x, z) == i
+                assert sh.table[z, x] == i
     with pytest.raises(sf.SeedOutOfRange):
         sh.blocks(4)
 
@@ -46,9 +46,8 @@ def test_check_balance_exact_counting():
     cert = sf.check_balance(sh, {0, 1, 2}, Fraction(0), Fraction(0), Fraction(1, 2))
     # target 3/2, window [3/4, 9/4]: counts are 3 and 0, both outside
     assert cert.violations_per_seed == [2]
-    assert not cert.seed_pass[0]
+    assert cert.seed_pass == [False]
     assert not cert.overall_pass
-    assert cert.failing_seed_fraction == 1
     # relaxing eps2 to allow both violations makes the seed pass
     cert2 = sf.check_balance(sh, {0, 1, 2}, Fraction(0), Fraction(1), Fraction(1, 2))
     assert cert2.seed_pass[0]
@@ -82,7 +81,7 @@ def test_size_balance_of_seeded_random():
     assert cert.violations_per_seed == [0] * 8  # balanced by construction
 
 
-def test_serialization_roundtrip(tmp_path):
+def test_serialization_roundtrip():
     for sh in [sf.make_round_robin(8, 4),
                sf.make_seeded_random(10, 3, 6, rng_seed=9),
                sf.Shuffler(4, 2, 2, [[0, 1, 0, 1], [1, 1, 0, 0]])]:
@@ -91,9 +90,6 @@ def test_serialization_roundtrip(tmp_path):
         assert (back.N, back.D, back.M) == (sh.N, sh.D, sh.M)
         assert np.array_equal(back.table, sh.table)
         assert sf.shuffler_to_text(back) == text
-        path = tmp_path / "sh.txt"
-        sf.save_shuffler(sh, str(path))
-        assert np.array_equal(sf.load_shuffler(str(path)).table, sh.table)
 
 
 def test_shuffler_validation():

@@ -28,11 +28,20 @@ def sgc(outer):
     return sym.concat_graph(outer, inner)
 
 
+def basis_matrices(C):
+    return [row.reshape(C.side, C.side) for row in C.G]
+
+
+def block(X, ell, i, j):
+    """The ell x ell block (i, j) of X."""
+    return X[i * ell:(i + 1) * ell, j * ell:(j + 1) * ell]
+
+
 def test_symmetric_tensor_dimension_and_symmetry():
     A = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.int64)
     C = sym.symmetric_tensor(f2, A)
     assert C.dim == 3  # k(k+1)/2 with k=2
-    for M in C.basis_matrices():
+    for M in basis_matrices(C):
         assert np.array_equal(M, M.T)
     with pytest.raises(sym.RankDeficient):
         sym.symmetric_tensor(f2, [[1, 1], [1, 1]])
@@ -50,10 +59,10 @@ def test_build_outer_graph_fixture(outer):
     assert outer.dim == 10
     assert outer.side == 8
     # every basis codeword is symmetric with zero diagonal blocks
-    for M in outer.space.basis_matrices():
+    for M in basis_matrices(outer.space):
         assert np.array_equal(M, M.T)
         for i in range(outer.n):
-            assert not outer.block(M, i, i).any()
+            assert not block(M, outer.ell, i, i).any()
 
 
 def test_build_outer_graph_validation():
@@ -135,7 +144,7 @@ def oracle_encode_outer_word(SGC, X):
     out = np.zeros((SGC.N, SGC.N), dtype=np.int64)
     for i in range(n):
         for j in range(n):
-            blk = SGC.outer.block(X, i, j)
+            blk = block(X, SGC.ell, i, j)
             if i <= j:
                 enc = SGC.inner.encode_matrix(blk.reshape(-1))
             else:
