@@ -3,7 +3,10 @@ Command-line front end: build and verify families and graph codes,
 encode/decode files, and run the extractor/condenser bridge.
 
 All randomness flows from the recorded --seed; reruns with the same
-config produce byte-identical output files.  Exit codes: 0 pass,
+config produce byte-identical output files.  `GRAPH_FLAGS` holds the only
+default of each graph construction parameter: `build-graph` passes every
+parameter of its kind to the builder and records it in the manifest.
+The top-level --workers flag is accepted and ignored.  Exit codes: 0 pass,
 2 verification or decoding failure, 3 infeasible parameters, 4 I/O,
 malformed input or a bad command line.
 """
@@ -14,7 +17,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -230,6 +232,8 @@ def _read_family(path: str) -> ens.ErasureFamily:
 # ----------------------------------------------------------------------
 
 def cmd_build_family(a) -> int:
+    if a.shuffler == "round_robin" and a.D is not None:
+        raise InputError("--D: a round_robin shuffler has one seed")
     plan = fc.plan_parameters(a.q, a.delta, a.eta, a.epsilon)
     if a.N % a.M != 0:
         raise fc.InfeasibleAtDeskScale(f"M = {a.M} must divide N = {a.N}")
@@ -248,7 +252,7 @@ def cmd_build_family(a) -> int:
     if a.shuffler == "round_robin":
         shuf = sf.make_round_robin(a.N, a.M)
     else:
-        shuf = sf.make_seeded_random(a.N, a.M, a.D, a.seed)
+        shuf = sf.make_seeded_random(a.N, a.M, 8 if a.D is None else a.D, a.seed)
     params = fc.ShuffledFamilyParams(outer, inner, shuf, a.delta, a.eta, a.epsilon)
     fam = fc.build_family(params)
     size_cert = sf.check_size_balance(shuf, *plan.balance_triple)
@@ -312,6 +316,9 @@ def cmd_verify_graph(a) -> int:
     man = _read_json(a.code)
     if man["kind"] == "family":
         raise InputError("a family manifest is not a graph code")
+    if man["kind"] == "bipartite" and a.delta is not None:
+        raise InputError("--delta: a bipartite code is verified at its "
+                         "manifest's delta_row and delta_col")
     code = _rebuild(man)
     delta = a.delta if a.delta is not None else _parsed(
         _frac, man.get("delta") or man["params"].get("delta", "0"))
@@ -478,9 +485,8 @@ def cmd_report(a) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="codefam")
-    ap.add_argument("--workers", type=int,
-                    default=int(os.environ.get("CODEFAM_WORKERS", "1")),
-                    help="worker count (results are independent of it)")
+    ap.add_argument("--workers", type=int, default=1,
+                    help="ignored: every command runs in one process")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("build-family")
@@ -490,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_frac, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--M", type=int, default=4)
-    p.add_argument("--D", type=int, default=8)
+    p.add_argument("--D", type=int, default=None)  # None: 8 seeds for seeded_random
     p.add_argument("--inner-size", type=int, default=2)
     p.add_argument("--shuffler", choices=["round_robin", "seeded_random"],
                    default="seeded_random")

@@ -453,6 +453,12 @@ class GridCode:
         by_axis = {"rows": units[:rows], "cols": units[rows:]}
         return UnitCode(self.core.spec, self.core.G, [u for a in self.axes for u in by_axis[a]])
 
+    @property
+    def rate(self) -> Fraction:
+        """Message digits per cell of the codeword matrix."""
+        rows, cols = self.shape
+        return Fraction(self.core.k, rows * cols)
+
     def generator(self) -> np.ndarray:
         """(k, rows * cols) generator, row-major cell order; cached."""
         return self.core.G

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, combinations, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, islice, product
 from operator import and_
 
 import numpy as np
@@ -408,7 +408,9 @@ def exhaustive_inner_search(spec: FieldSpec, L: int, delta_in, mu,
     those codes in lexicographic order.  The family property does not
     depend on member order, so the first hit is also the first in product
     order.  Deterministic; raises SearchExhausted when no ensemble of the
-    requested size achieves worst failing fraction <= mu.
+    requested size achieves worst failing fraction <= mu, and
+    BudgetExceeded when the q^(k*L) candidate matrices or the ensembles
+    to examine number more than `budget`.
     """
     delta_in = Fraction(delta_in)
     mu = Fraction(mu)
@@ -430,11 +432,14 @@ def exhaustive_inner_search(spec: FieldSpec, L: int, delta_in, mu,
     crowd = max(0, math.floor(mu * family_size) + 1)
     everything = (1 << len(patterns)) - 1
     SEARCH_STATS["calls"] += 1
-    for combo in combinations_with_replacement(range(len(codes)), family_size):
+    combos = combinations_with_replacement(range(len(codes)), family_size)
+    for combo in islice(combos, budget):
         SEARCH_STATS["ensembles_examined"] += 1
         if not any(reduce(and_, (fails[ci] for ci in sub), everything)
                    for sub in combinations(combo, crowd)):
             return ErasureFamily([codes[ci] for ci in combo], delta_in, mu)
+    if next(combos, None) is not None:
+        raise BudgetExceeded(f"more than {budget} ensembles to examine")
     raise SearchExhausted(
         f"no size-{family_size} ensemble of [{L},{k}] codes over "
         f"GF({spec.p}^{spec.m}) achieves mu = {mu}")

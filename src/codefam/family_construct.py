@@ -8,9 +8,11 @@ inner [L, ell] code; block i's inner symbols land on the positions of
 S_i^z in ascending order.  Overfull blocks freeze their surplus
 positions to zero; underfull blocks discard their surplus inner
 symbols.  The family has one member per (seed, inner-code) pair and
-rate exactly R_inner * R_outer.  Member (z, ci) is `member(p, z, ci)`,
-a `code.GridCode` whose codewords are 1 x N matrices and whose decoding
-erases no whole row or column (erasures are marked cell by cell);
+rate exactly R_inner * R_outer.  `placement(sh, L, z)` is seed z's slot
+array (the position of each block slot, or DISCARDED).  Member (z, ci)
+is `member(p, z, ci)`, a `code.GridCode` whose codewords are 1 x N
+matrices and whose decoding erases no whole row or column (erasures are
+marked cell by cell);
 `encode_member` and `decode_member` read and write plain length-N words.
 """
 
@@ -91,23 +93,15 @@ class ShuffledFamilyParams:
                     "passed": None, "mode": "assumed"}
 
 
-class PlacementMap:
-    """Per-seed mapping between inner-symbol slots and codeword positions.
-
-    slot_to_pos[i, j] is the position carrying slot j of block i, or
-    DISCARDED; the surplus positions of overfull blocks appear nowhere in
-    it (they are frozen to zero).
-    """
-
-    def __init__(self, sh: Shuffler, L: int, z: int):
-        self.slot_to_pos = np.full((sh.M, L), DISCARDED, dtype=np.int64)
-        for i, blk in enumerate(sh.blocks(z)):
-            blk = blk[:L]
-            self.slot_to_pos[i, :len(blk)] = blk
-
-
-def placement(p: ShuffledFamilyParams, z: int) -> PlacementMap:
-    return PlacementMap(p.sh, p.L, z)
+def placement(sh: Shuffler, L: int, z: int) -> np.ndarray:
+    """Seed z's (M, L) slot array: entry [i, j] is the position carrying
+    slot j of block i, or DISCARDED.  The surplus positions of overfull
+    blocks appear nowhere in it (they are frozen to zero)."""
+    slots = np.full((sh.M, L), DISCARDED, dtype=np.int64)
+    for i, blk in enumerate(sh.blocks(z)):
+        blk = blk[:L]
+        slots[i, :len(blk)] = blk
+    return slots
 
 
 def member(p: ShuffledFamilyParams, z: int, ci: int) -> GridCode:
@@ -121,7 +115,7 @@ def member(p: ShuffledFamilyParams, z: int, ci: int) -> GridCode:
     if code is None:
         code = p._members[z, ci] = GridCode(ConcatenatedCode(
             InterleavedCode(p.outer), [p.inner.codes[ci]] * p.M,
-            placement(p, z).slot_to_pos, p.N), (1, p.N), ())
+            placement(p.sh, p.L, z), p.N), (1, p.N), ())
     return code
 
 

@@ -22,6 +22,9 @@ and decoded by `decode(received, S, T)`.  Bipartite codes erase rows
 (S) and columns (T), nearly-MDS codes columns only; `encode_matrix`,
 `decode_matrix`, `encode_columns` and `decode_columns` are other names
 for `encode` and `decode`.
+
+The builders take every construction parameter as a required argument;
+their defaults live in one place, `cli.GRAPH_FLAGS`.
 """
 
 from __future__ import annotations
@@ -103,10 +106,6 @@ class BipartiteGraphCode(GridCode):
         return i % len(self.col_family)
 
     @property
-    def rate(self) -> Fraction:
-        return Fraction(self.k_total, self.M * self.N)
-
-    @property
     def row_rate(self) -> Fraction:
         return self.row.rate
 
@@ -119,11 +118,15 @@ class BipartiteGraphCode(GridCode):
         return self.unit_code.corrects([*S, *(self.M + j for j in T)])
 
 
+SAMPLING_ATTEMPTS = 200
+
+
 def _sample_column_family(q_spec: FieldSpec, N: int, ell: int, size: int,
-                          delta_col, eps_fam, rng_seed: int, budget: int):
-    """Random [N, ell] family passing exhaustive verification; resamples."""
+                          delta_col, eps_fam, rng_seed: int):
+    """Random [N, ell] family passing exhaustive verification; resamples up
+    to SAMPLING_ATTEMPTS times."""
     rng = np.random.default_rng(rng_seed)
-    for attempt in range(budget):
+    for attempt in range(SAMPLING_ATTEMPTS):
         codes = []
         while len(codes) < size:
             G = rng.integers(0, q_spec.q, size=(ell, N), dtype=np.int64)
@@ -133,14 +136,12 @@ def _sample_column_family(q_spec: FieldSpec, N: int, ell: int, size: int,
         if verify_family(fam, budget=10 ** 8).passed:
             return fam, attempt + 1
     raise InfeasibleAtDeskScale(
-        f"no [{N},{ell}] family of size {size} found in {budget} attempts")
+        f"no [{N},{ell}] family of size {size} found in {SAMPLING_ATTEMPTS} attempts")
 
 
-def build_bipartite(q: int, M: int, N: int, delta_row, delta_col, eta,
-                    *, rng_seed: int = 0, budget: int = 200,
-                    ell: int | None = None, ell0: int | None = None,
-                    k_row: int | None = None, family_size: int | None = None,
-                    eps_fam=None) -> BipartiteGraphCode:
+def build_bipartite(q: int, M: int, N: int, delta_row, delta_col, eta, *,
+                    rng_seed: int, ell: int, ell0: int, k_row: int,
+                    family_size: int, eps_fam) -> BipartiteGraphCode:
     """Explicit-path bipartite graph code from desk-scale components.
 
     The row code is Reed-Solomon over F_{q^ell0} (q^ell0 >= M) interleaved to
@@ -155,21 +156,8 @@ def build_bipartite(q: int, M: int, N: int, delta_row, delta_col, eta,
     delta_row = Fraction(delta_row)
     delta_col = Fraction(delta_col)
     eta = Fraction(eta)
-    if ell0 is None:
-        ell0 = 1
-        while q ** ell0 < M:
-            ell0 += 1
-    if ell is None:
-        ell = ell0
     if ell % ell0 != 0:
         raise GraphCodeError(f"ell = {ell} must be a multiple of ell0 = {ell0}")
-    if k_row is None:
-        k_row = max(1, M - math.floor(delta_row * M)
-                    - max(1, math.floor(eta * M)))
-    if family_size is None:
-        family_size = M
-    if eps_fam is None:
-        eps_fam = Fraction(1, family_size)
     eps_fam = Fraction(eps_fam)
     erased = math.floor(delta_row * M)
     failing = math.floor(eps_fam * family_size) * (M // family_size)
@@ -179,7 +167,7 @@ def build_bipartite(q: int, M: int, N: int, delta_row, delta_col, eta,
             f"{failing} family-failing rows")
     row = RowCodeRS(q_spec, M, k_row, ell0, ell // ell0)
     fam, attempts = _sample_column_family(q_spec, N, ell, family_size,
-                                          delta_col, eps_fam, rng_seed, budget)
+                                          delta_col, eps_fam, rng_seed)
     return BipartiteGraphCode(
         q_spec, M, N, delta_row, delta_col, row, fam,
         provenance={"rng_seed": rng_seed, "sampling_attempts": attempts,
@@ -236,19 +224,12 @@ class NearlyMDSCode(_ColumnSymbols):
         self.eta = Fraction(eta)
         self.k_total = inner.k_total
 
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.k_total, self.M_rows * self.N)
 
-
-def build_nearly_mds(q: int, N: int, delta, eta, *, M: int = 4,
-                     rng_seed: int = 0, budget: int = 200,
-                     ell: int | None = None, ell0: int | None = None,
-                     k_row: int | None = None,
-                     eps_fam=None) -> NearlyMDSCode:
+def build_nearly_mds(q: int, N: int, delta, eta, *, M: int, rng_seed: int,
+                     ell: int, ell0: int, k_row: int, eps_fam) -> NearlyMDSCode:
     """Nearly-MDS code over F_{q^M}: the delta_row = 0 bipartite case."""
     inner = build_bipartite(q, M, N, 0, delta, eta, rng_seed=rng_seed,
-                            budget=budget, ell=ell, ell0=ell0, k_row=k_row,
+                            ell=ell, ell0=ell0, k_row=k_row,
                             family_size=M, eps_fam=eps_fam)
     code = NearlyMDSCode(inner, M, N, delta, eta)
     if code.rate < 1 - code.delta - code.eta:
@@ -267,6 +248,8 @@ class ImprovedNearlyMDSCode(_ColumnSymbols):
     q'-symbol erased (pessimistic).  One outer Reed-Solomon code over
     F_{q^ell} spans all M_b * D blocks.  No ensemble search is performed.
     """
+
+    search_enumerations = 0
 
     def __init__(self, q_spec: FieldSpec, N: int, delta, eta, M_b: int, D: int,
                  e: int, k_inner: int, k_out: int, rng_seed: int):
@@ -301,13 +284,9 @@ class ImprovedNearlyMDSCode(_ColumnSymbols):
         super().__init__(ConcatenatedCode(InterleavedCode(self.outer), [self.inner] * len(cells),
                                           cells, D * N), (D, N), ("cols",))
 
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.k_total, self.D * self.N)
 
-
-def build_nearly_mds_improved(q: int, N: int, delta, eta, *, M_b: int = 2,
-                              D: int = 4, rng_seed: int = 0) -> ImprovedNearlyMDSCode:
+def build_nearly_mds_improved(q: int, N: int, delta, eta, *, M_b: int, D: int,
+                              rng_seed: int) -> ImprovedNearlyMDSCode:
     """Improved nearly-MDS construction; derives all sizes from (N, delta).
 
     Inner: single RS over F_{q^e}, e the smallest exponent with
@@ -317,8 +296,6 @@ def build_nearly_mds_improved(q: int, N: int, delta, eta, *, M_b: int = 2,
     the worst case of floor(f / (inner erasure tolerance + 1)) failing
     blocks per seed, f = floor(delta * N).
     """
-    from codefam.ensemble import SEARCH_STATS
-    search_before = SEARCH_STATS["ensembles_examined"]
     q_spec = make_field(*_prime_power(q))
     delta = Fraction(delta)
     eta = Fraction(eta)
@@ -353,9 +330,5 @@ def build_nearly_mds_improved(q: int, N: int, delta, eta, *, M_b: int = 2,
     if rate < 1 - delta - eta:
         raise InfeasibleAtDeskScale(
             f"instance rate {rate} below target {1 - delta - eta}")
-    code = ImprovedNearlyMDSCode(q_spec, N, delta, eta, M_b, D, e,
+    return ImprovedNearlyMDSCode(q_spec, N, delta, eta, M_b, D, e,
                                  k_inner, k_out, rng_seed)
-    assert SEARCH_STATS["ensembles_examined"] == search_before, \
-        "improved construction must not invoke the ensemble search"
-    code.search_enumerations = 0
-    return code

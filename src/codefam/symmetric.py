@@ -16,6 +16,9 @@ and `decode` first lets `erase` add every row and column of the few
 super-rows and super-columns too damaged for the inner code, then makes
 one decode call on the core, which ends with a block-erasure solve on
 the outer code.  `decode_graph` is another name for `decode`.
+
+`build_symmetric` takes every construction parameter as a required
+argument; their defaults live in `cli.GRAPH_FLAGS`.
 """
 
 from __future__ import annotations
@@ -116,14 +119,12 @@ class OuterGraphCode:
         return self.space.dim
 
 
-def build_outer_graph(q: int, n: int, ell: int, delta_prime,
-                      verify: bool = True) -> OuterGraphCode:
+def build_outer_graph(q: int, n: int, ell: int, delta_prime) -> OuterGraphCode:
     """Symmetric-tensor outer code from a Reed-Solomon base.
 
     The base is RS over F_{q^ell} of length n with distance
-    floor(delta_prime * n) + 2, expanded to F_q.  When verify is set, the
-    block-erasure rank criterion is checked for every S, T of size
-    <= delta_prime * n.
+    floor(delta_prime * n) + 2, expanded to F_q.  The block-erasure rank
+    criterion is checked for every S, T of size <= delta_prime * n.
     """
     delta_prime = Fraction(delta_prime)
     if not _is_prime(q):
@@ -139,18 +140,16 @@ def build_outer_graph(q: int, n: int, ell: int, delta_prime,
     base_big = reed_solomon(sym_spec, k0, n)
     base = expand_code(base_big, q_spec)         # k0*ell x n*ell over F_q
     space = truncate_diagonal(symmetric_tensor(q_spec, base.G), n, ell)
-    out = OuterGraphCode(q_spec, n, ell, space, base, delta_prime)
-    if verify:
-        s = math.floor(delta_prime * n)
-        axes = [(n, 0, s), (n, 0, s)]
-        # units: block rows, then block columns; the check has no budget
-        blocks = UnitCode(q_spec, space.G, grid_units(n * ell, n * ell, ell), dim=space.dim)
-        rep = verify_units(blocks, axes, budget=math.inf)
-        if not rep.passed:
-            S, T = split_pattern(rep.worst_pattern, axes)
-            raise SymmetricCodeError(
-                f"outer block rank check failed at S={tuple(S)}, T={tuple(T)}")
-    return out
+    s = math.floor(delta_prime * n)
+    axes = [(n, 0, s), (n, 0, s)]
+    # units: block rows, then block columns; the check has no budget
+    blocks = UnitCode(q_spec, space.G, grid_units(n * ell, n * ell, ell), dim=space.dim)
+    rep = verify_units(blocks, axes, budget=math.inf)
+    if not rep.passed:
+        S, T = split_pattern(rep.worst_pattern, axes)
+        raise SymmetricCodeError(
+            f"outer block rank check failed at S={tuple(S)}, T={tuple(T)}")
+    return OuterGraphCode(q_spec, n, ell, space, base, delta_prime)
 
 
 class SymmetricGraphCode(GridCode):
@@ -212,8 +211,8 @@ def concat_graph(outer: OuterGraphCode, inner: BipartiteGraphCode) -> SymmetricG
 
 
 def build_symmetric(q: int, n: int, ell: int, delta_prime, D_in: int, eta, *,
-                    rng_seed: int = 0, inner_ell0: int | None = None,
-                    inner_k_row: int | None = None, eps_fam=None) -> SymmetricGraphCode:
+                    rng_seed: int, inner_ell0: int, inner_k_row: int,
+                    eps_fam) -> SymmetricGraphCode:
     """The outer code of build_outer_graph concatenated with a square
     D_in x D_in bipartite code of row and column erasure fraction delta_prime."""
     outer = build_outer_graph(q, n, ell, delta_prime)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from codefam import cli
+from codefam import graphcode as gc
+from codefam import symmetric as sym
 from codefam.gf import make_field
 
 f2 = make_field(2, 1)
@@ -163,6 +166,19 @@ def test_rebuild_is_byte_identical(fam_manifest, tmp_path):
     workers = tmp_path / "fam3.json"
     assert cli.main(["--workers", "4"] + FAMILY_ARGS + ["--out", str(workers)]) == 0
     assert workers.read_bytes() == fam_manifest.read_bytes()
+
+
+def test_build_family_round_robin_takes_no_D(tmp_path, capsys):
+    """A round_robin shuffler has one seed: --D exits 4 and writes nothing."""
+    rr = [a for a in FAMILY_ARGS if a not in ("--D", "8")] + ["--shuffler", "round_robin"]
+    out = tmp_path / "rr.json"
+    assert cli.main(rr + ["--D", "3", "--out", str(out)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+    assert "--D" in json.loads(lines[0])["detail"]
+    assert not out.exists()
+    assert cli.main(rr + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["shuffler"].startswith("16 1 4 round_robin")
 
 
 
@@ -439,6 +455,18 @@ def test_help_exits_zero(capsys):
     assert "usage" in capsys.readouterr().out
 
 
+def test_verify_graph_delta_on_bipartite_exit_code(bp_manifest, tmp_path, capsys):
+    """A bipartite code is verified at its manifest's delta_row and
+    delta_col: --delta exits 4 and writes no report."""
+    rep = tmp_path / "rep.json"
+    assert cli.main(["verify-graph", "--code", str(bp_manifest), "--delta", "7/8",
+                     "--out", str(rep)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+    assert "--delta" in json.loads(lines[0])["detail"]
+    assert not rep.exists()
+
+
 def test_verify_graph_delta_zero_means_zero(nm_manifest, tmp_path):
     """--delta 0 erases no column symbol; it does not fall back to the manifest."""
     rep = tmp_path / "rep.json"
@@ -506,6 +534,48 @@ def test_graph_manifest_and_codeword_pinned(kind, request, tmp_path):
                      "--out", str(cw)]) == 0
     digest = [hashlib.sha256(f.read_bytes()).hexdigest()[:16] for f in (manifest, cw)]
     assert tuple(digest) == GRAPH_PINS[kind]
+
+
+# kind -> (message length, sha256 prefixes as in GRAPH_PINS) of the build-graph
+# run that takes every default (`--kind K --q 2` only), recorded while the
+# builders still had defaults of their own; None: the defaults are infeasible
+DEFAULT_GRAPH_PINS = {"bipartite": (4, ("958edb1131a4518d", "b2496f99fc2a7eea")),
+                      "nearly-mds": None,
+                      "nearly-mds-improved": (32, ("88de6cf0685ba16f", "3a28fb66e70e36e9")),
+                      "symmetric": (10, GRAPH_PINS["symmetric"])}
+
+
+@pytest.mark.parametrize("kind", sorted(DEFAULT_GRAPH_PINS))
+def test_default_graph_manifest_and_codeword_pinned(kind, tmp_path, capsys):
+    manifest, msg, cw = tmp_path / "man.json", tmp_path / "msg.txt", tmp_path / "cw.txt"
+    rc = cli.main(["build-graph", "--kind", kind, "--q", "2", "--out", str(manifest)])
+    if DEFAULT_GRAPH_PINS[kind] is None:
+        assert rc == 3
+        assert json.loads(capsys.readouterr().out)["detail"] == \
+            "instance rate 1/8 below target 3/4"
+        return
+    assert rc == 0
+    k_total, pins = DEFAULT_GRAPH_PINS[kind]
+    cli.write_matrix_file(str(msg), f2, [[int(i % 3 == 0) for i in range(k_total)]])
+    assert cli.main(["encode", "--code", str(manifest), "--in", str(msg),
+                     "--out", str(cw)]) == 0
+    digest = [hashlib.sha256(f.read_bytes()).hexdigest()[:16] for f in (manifest, cw)]
+    assert tuple(digest) == pins
+
+
+BUILDERS = {"bipartite": gc.build_bipartite, "nearly-mds": gc.build_nearly_mds,
+            "nearly-mds-improved": gc.build_nearly_mds_improved,
+            "symmetric": sym.build_symmetric}
+
+
+@pytest.mark.parametrize("kind", sorted(cli.GRAPH_KINDS))
+def test_builder_takes_every_parameter_from_build_graph(kind):
+    """GRAPH_FLAGS holds the only default of a construction parameter: a
+    kind's builder takes exactly the parameters its GRAPH_KINDS row names,
+    and gives none of them a default."""
+    params = inspect.signature(BUILDERS[kind]).parameters
+    assert sorted(params) == sorted(["q", *cli.GRAPH_KINDS[kind][1]])
+    assert [n for n, v in params.items() if v.default is not inspect.Parameter.empty] == []
 
 
 # kind -> (manifest fixture, message length, member flags, erased rows, erased columns)

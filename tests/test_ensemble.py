@@ -163,6 +163,16 @@ def test_exhaustive_inner_search_instrumented_and_exhausted():
         ens.exhaustive_inner_search(f2, 2, Fraction(1, 2), Fraction(0), 1, k=2)
 
 
+def test_exhaustive_inner_search_budget_bounds_the_ensemble_walk():
+    """2^15 candidate matrices fit the budget, but the C(157, 3) ensembles
+    of the 155 [5, 3] codes do not: the walk stops at the budget."""
+    before = ens.SEARCH_STATS["ensembles_examined"]
+    with pytest.raises(ens.BudgetExceeded):
+        ens.exhaustive_inner_search(f2, 5, Fraction(2, 5), Fraction(0), 3, k=3,
+                                    budget=10 ** 5)
+    assert ens.SEARCH_STATS["ensembles_examined"] - before == 10 ** 5
+
+
 def oracle_inner_search(spec, L, delta_in, mu, family_size, k):
     """The search as it was before its fail-mask ANDs, counting the failing
     members of each pattern in turn: the first qualifying ensemble's

@@ -54,32 +54,32 @@ def test_outer_distance_certificate(fixture_params):
     assert cert["passed"] is True
 
 
-def frozen_positions(pm, N):
-    return sorted(set(range(N)) - set(pm.slot_to_pos.flat))
+def frozen_positions(slots, N):
+    return sorted(set(range(N)) - set(slots.flat))
 
 
-def discarded_slots(pm):
-    return [tuple(s) for s in np.argwhere(pm.slot_to_pos == fc.DISCARDED).tolist()]
+def discarded_slots(slots):
+    return [tuple(s) for s in np.argwhere(slots == fc.DISCARDED).tolist()]
 
 
 def test_placement_accounting(fixture_params):
     p = fixture_params
     for z in range(p.D):
-        pm = fc.placement(p, z)
+        slots = fc.placement(p.sh, p.L, z)
         # N = L*M and the shuffler is balanced, so no freezing/discarding here
-        assert frozen_positions(pm, p.N) == []
-        assert discarded_slots(pm) == []
+        assert frozen_positions(slots, p.N) == []
+        assert discarded_slots(slots) == []
         # slot j of block i is the j-th position of S_i^z
         for i, blk in enumerate(p.sh.blocks(z)):
-            assert pm.slot_to_pos[i].tolist() == blk
+            assert slots[i].tolist() == blk
 
 
 def test_placement_freeze_and_discard():
     # custom unbalanced shuffler: block 0 overfull, block 1 underfull
     sh = sf.Shuffler(4, 1, 2, [[0, 0, 0, 1]])
-    pm = fc.PlacementMap(sh, L=2, z=0)
-    assert frozen_positions(pm, 4) == [2]        # third position of block 0
-    assert discarded_slots(pm) == [(1, 1)]       # block 1 short one slot
+    slots = fc.placement(sh, 2, 0)
+    assert frozen_positions(slots, 4) == [2]     # third position of block 0
+    assert discarded_slots(slots) == [(1, 1)]    # block 1 short one slot
 
 
 def test_encode_decode_roundtrip(fixture_params):

@@ -72,7 +72,8 @@ def test_bipartite_feasibility_check():
                            k_row=3, family_size=4, eps_fam=Fraction(1, 4))
     with pytest.raises(gc.InfeasibleAtDeskScale):
         gc.build_bipartite(4, 4, 8, Fraction(1, 4), Fraction(1, 4),
-                           Fraction(1, 4), rng_seed=0)  # q=4 not prime
+                           Fraction(1, 4), rng_seed=0, ell=2, ell0=2,
+                           k_row=2, family_size=4, eps_fam=Fraction(1, 4))  # q=4 not prime
 
 
 def test_column_family_is_verified(bp):
