@@ -60,6 +60,14 @@ class _Manifest(dict):
 _frac = ens.fraction_from_text  # flags and manifests read fractions alike
 
 
+def _count(text: str) -> int:
+    """A count flag's value: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is below 1")
+    return n
+
+
 def _ints(text: str) -> list[int]:
     """Comma-separated integers; the empty string is the empty list."""
     try:
@@ -234,6 +242,9 @@ def _read_family(path: str) -> ens.ErasureFamily:
 def cmd_build_family(a) -> int:
     if a.shuffler == "round_robin" and a.D is not None:
         raise InputError("--D: a round_robin shuffler has one seed")
+    if a.shuffler == "round_robin" and a.seed is not None:
+        raise InputError("--seed: a round_robin shuffler draws nothing")
+    seed = 0 if a.seed is None else a.seed
     plan = fc.plan_parameters(a.q, a.delta, a.eta, a.epsilon)
     if a.N % a.M != 0:
         raise fc.InfeasibleAtDeskScale(f"M = {a.M} must divide N = {a.N}")
@@ -252,7 +263,7 @@ def cmd_build_family(a) -> int:
     if a.shuffler == "round_robin":
         shuf = sf.make_round_robin(a.N, a.M)
     else:
-        shuf = sf.make_seeded_random(a.N, a.M, 8 if a.D is None else a.D, a.seed)
+        shuf = sf.make_seeded_random(a.N, a.M, 8 if a.D is None else a.D, seed)
     params = fc.ShuffledFamilyParams(outer, inner, shuf, a.delta, a.eta, a.epsilon)
     fam = fc.build_family(params)
     size_cert = sf.check_size_balance(shuf, *plan.balance_triple)
@@ -260,12 +271,12 @@ def cmd_build_family(a) -> int:
         "kind": "family",
         "params": {"q": a.q, "delta": str(a.delta), "eta": str(a.eta),
                    "epsilon": str(a.epsilon), "N": a.N, "M": a.M,
-                   "rng_seed": a.seed, "shuffler": a.shuffler},
+                   "rng_seed": seed, "shuffler": a.shuffler},
         "outer": cd.code_to_text(outer),
         "inner": ens.family_to_manifest(inner, {"mode": "exhaustive_search"}),
         "shuffler": sf.shuffler_to_text(shuf),
         "family": ens.family_to_manifest(fam, {"mode": "construction",
-                                               "rng_seed": a.seed}),
+                                               "rng_seed": seed}),
         "certificates": {
             "size_balance_pass": size_cert.overall_pass,
             "outer_distance": params.outer_distance_certificate(),
@@ -494,13 +505,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_frac, required=True)
     p.add_argument("--eta", type=_frac, required=True)
     p.add_argument("--epsilon", type=_frac, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--M", type=int, default=4)
-    p.add_argument("--D", type=int, default=None)  # None: 8 seeds for seeded_random
-    p.add_argument("--inner-size", type=int, default=2)
+    p.add_argument("--N", type=_count, required=True)
+    p.add_argument("--M", type=_count, default=4)
+    p.add_argument("--D", type=_count, default=None)  # None: 8 seeds for seeded_random
+    p.add_argument("--inner-size", type=_count, default=2)
     p.add_argument("--shuffler", choices=["round_robin", "seeded_random"],
                    default="seeded_random")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)  # None: seed 0 for seeded_random
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify-family")

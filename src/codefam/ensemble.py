@@ -15,9 +15,8 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import accumulate, combinations, combinations_with_replacement, islice, product
-from operator import and_
+from functools import partial
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
@@ -376,9 +375,9 @@ def sample_random_family(spec: FieldSpec, n: int, delta, eta, epsilon,
     return ErasureFamily(codes, delta, epsilon)
 
 
-def _rref_generators(spec: FieldSpec, k: int, L: int) -> list[np.ndarray]:
+def _rref_generators(spec: FieldSpec, k: int, L: int) -> np.ndarray:
     """All k x L generators in reduced row echelon form, in lexicographic
-    order of their row-major entries.
+    order of their row-major entries, stacked into one n x k x L array.
 
     One RREF matrix per k-dimensional subspace, so enumerating these walks
     every [L, k] code exactly once.  Each pivot set contributes a 1 at
@@ -395,7 +394,79 @@ def _rref_generators(spec: FieldSpec, k: int, L: int) -> list[np.ndarray]:
         G[:, [r for r, _ in free], [c for _, c in free]] = fills
         blocks.append(G.reshape(len(fills), k * L))
     flat = np.concatenate(blocks)
-    return list(flat[np.lexsort(flat.T[::-1])].reshape(-1, k, L))
+    return flat[np.lexsort(flat.T[::-1])].reshape(-1, k, L)
+
+
+# Codeword cells (messages x generators x max(positions, patterns)) that
+# one chunk of `_fail_masks` holds at once.
+MASK_CHUNK_CELLS = 1 << 20
+
+
+def _fail_masks(spec: FieldSpec, gens: np.ndarray, patterns) -> np.ndarray:
+    """Per generator, the patterns its code cannot correct, as bits of
+    uint64 words: bit i of word w is pattern 64 w + i.
+
+    A linear code fails an erasure pattern iff some nonzero codeword has
+    its support inside the erased set.  The messages whose first nonzero
+    entry is 1 (one per line, so every support once) are multiplied by a
+    chunk of the generators at a time, stacked side by side.
+    """
+    n, k, L = gens.shape
+    msgs = np.array(list(product(range(spec.q), repeat=k))[1:], dtype=np.int64)
+    msgs = msgs[msgs[np.arange(len(msgs)), (msgs != 0).argmax(axis=1)] == 1]
+    weights = np.uint64(1) << np.arange(L, dtype=np.uint64)
+    # a support lies inside a pattern iff it misses every position the pattern keeps
+    kept = np.array([sum(1 << c for c in range(L) if c not in pat) for pat in patterns],
+                    dtype=np.uint64)
+    fails = np.zeros((n, -(-len(patterns) // 64) * 64), dtype=bool)
+    step = max(1, MASK_CHUNK_CELLS // (len(msgs) * max(L, len(patterns))))
+    for lo in range(0, n, step):
+        chunk = gens[lo:lo + step]
+        codewords = mx.matmul(spec, msgs, chunk.transpose(1, 0, 2).reshape(k, -1))
+        supports = (codewords.reshape(len(msgs), len(chunk), L) != 0) @ weights
+        fails[lo:lo + len(chunk), :len(patterns)] = (
+            (supports[:, :, None] & kept) == 0).any(axis=0)
+    return np.packbits(fails, axis=1, bitorder="little").view("<u8")
+
+
+def _first_ensemble(fails: np.ndarray, size: int, crowd: int, limit: int):
+    """The first non-decreasing `size`-tuple of rows of `fails`, in
+    lexicographic order, in which no pattern is failed by `crowd` members
+    (with multiplicity), if it is among the first `limit` tuples: (its
+    rows, its 1-based rank), or else (None, limit).
+
+    Branch and bound, depth first: levels[j] holds the patterns failed by
+    at least j chosen members (levels[0] every pattern).  A candidate that
+    fails a pattern of levels[crowd - 1] fails every tuple it would join,
+    and levels only grow down a branch, so one filter per node drops it
+    from the node's whole subtree.  Ranks count pruned tuples too, in
+    closed form.
+    """
+    n = len(fails)
+
+    def before(lo: int, c: int, rest: int) -> int:
+        # tuples whose member here lies in [lo, c), with `rest` members after it
+        return math.comb(n - lo + rest, rest + 1) - math.comb(n - c + rest, rest + 1)
+
+    def walk(rest, lo, cands, levels, start):
+        # cands: the rows from lo on that the parent node let through
+        cands = cands[~(fails[cands] & levels[-1]).any(axis=1)]
+        for j, c in enumerate(cands.tolist()):
+            at = start + before(lo, c, rest)  # tuples ahead of this subtree
+            if at >= limit:
+                return None
+            if not rest:
+                return [c], at + 1
+            grown = levels.copy()
+            grown[1:] |= levels[:-1] & fails[c]
+            found = walk(rest - 1, c, cands[j:], grown, at)
+            if found:
+                return [c] + found[0], found[1]
+        return None
+
+    levels = np.zeros((crowd, fails.shape[1]), dtype=np.uint64)
+    levels[0] = ~np.uint64(0)
+    return walk(size - 1, 0, np.arange(n), levels, 0) or (None, limit)
 
 
 def exhaustive_inner_search(spec: FieldSpec, L: int, delta_in, mu,
@@ -407,13 +478,22 @@ def exhaustive_inner_search(spec: FieldSpec, L: int, delta_in, mu,
     in row-major integer order), and ensembles are non-decreasing tuples of
     those codes in lexicographic order.  The family property does not
     depend on member order, so the first hit is also the first in product
-    order.  Deterministic; raises SearchExhausted when no ensemble of the
-    requested size achieves worst failing fraction <= mu, and
-    BudgetExceeded when the q^(k*L) candidate matrices or the ensembles
-    to examine number more than `budget`.
+    order.  Each code's failed patterns come from its codeword supports
+    (`_fail_masks`), and the tuples are walked by branch and bound
+    (`_first_ensemble`).  SEARCH_STATS["ensembles_examined"] grows by the
+    tuples covered in canonical order, pruned ones included: the hit's
+    rank, or every tuple when the search is exhausted.  Deterministic;
+    raises SearchExhausted when no ensemble of the requested size achieves
+    worst failing fraction <= mu, and BudgetExceeded when the q^(k*L)
+    candidate matrices or the ensembles to examine number more than
+    `budget`.
     """
     delta_in = Fraction(delta_in)
     mu = Fraction(mu)
+    if family_size < 1:
+        raise EnsembleError(f"family size {family_size} is below 1")
+    if not (0 <= delta_in < 1 and 0 <= mu < 1):
+        raise EnsembleError("delta and mu must lie in [0, 1)")
     if k is None:
         k = L - math.floor(delta_in * L)
     if k < 1 or k > L:
@@ -421,24 +501,17 @@ def exhaustive_inner_search(spec: FieldSpec, L: int, delta_in, mu,
     if spec.q ** (k * L) > budget:
         raise BudgetExceeded("code enumeration space too large")
     gens = _rref_generators(spec, k, L)
-    codes = [LinearCode(spec, G) for G in gens]
-    s = math.floor(delta_in * L)
-    patterns = list(combinations(range(L), s))
-    # per-code bitmask of the patterns it fails, shared across ensembles
-    fails = [sum(1 << i for i, pat in enumerate(patterns) if not corrects_pattern(c, pat))
-             for c in codes]
+    fails = _fail_masks(spec, gens, list(combinations(range(L), math.floor(delta_in * L))))
+    SEARCH_STATS["calls"] += 1
     # an ensemble fails a pattern when more than mu * family_size of its
     # members (with multiplicity) fail it: some `crowd` of them share a bit
-    crowd = max(0, math.floor(mu * family_size) + 1)
-    everything = (1 << len(patterns)) - 1
-    SEARCH_STATS["calls"] += 1
-    combos = combinations_with_replacement(range(len(codes)), family_size)
-    for combo in islice(combos, budget):
-        SEARCH_STATS["ensembles_examined"] += 1
-        if not any(reduce(and_, (fails[ci] for ci in sub), everything)
-                   for sub in combinations(combo, crowd)):
-            return ErasureFamily([codes[ci] for ci in combo], delta_in, mu)
-    if next(combos, None) is not None:
+    crowd = math.floor(mu * family_size) + 1
+    total = math.comb(len(gens) + family_size - 1, family_size)
+    hit, covered = _first_ensemble(fails, family_size, crowd, min(budget, total))
+    SEARCH_STATS["ensembles_examined"] += covered
+    if hit is not None:
+        return ErasureFamily([LinearCode(spec, gens[i].copy()) for i in hit], delta_in, mu)
+    if covered < total:
         raise BudgetExceeded(f"more than {budget} ensembles to examine")
     raise SearchExhausted(
         f"no size-{family_size} ensemble of [{L},{k}] codes over "

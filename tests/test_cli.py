@@ -170,7 +170,8 @@ def test_rebuild_is_byte_identical(fam_manifest, tmp_path):
 
 def test_build_family_round_robin_takes_no_D(tmp_path, capsys):
     """A round_robin shuffler has one seed: --D exits 4 and writes nothing."""
-    rr = [a for a in FAMILY_ARGS if a not in ("--D", "8")] + ["--shuffler", "round_robin"]
+    rr = [a for a in FAMILY_ARGS if a not in ("--D", "8", "--seed", "123")]
+    rr += ["--shuffler", "round_robin"]
     out = tmp_path / "rr.json"
     assert cli.main(rr + ["--D", "3", "--out", str(out)]) == 4
     lines = capsys.readouterr().out.splitlines()
@@ -179,6 +180,38 @@ def test_build_family_round_robin_takes_no_D(tmp_path, capsys):
     assert not out.exists()
     assert cli.main(rr + ["--out", str(out)]) == 0
     assert json.loads(out.read_text())["shuffler"].startswith("16 1 4 round_robin")
+
+
+def test_build_family_round_robin_takes_no_seed(tmp_path, capsys):
+    """A round_robin shuffler draws nothing: --seed exits 4 and writes
+    nothing, and without it the manifest records seed 0."""
+    rr = [a for a in FAMILY_ARGS if a not in ("--D", "8", "--seed", "123")]
+    rr += ["--shuffler", "round_robin"]
+    out = tmp_path / "rr.json"
+    assert cli.main(rr + ["--seed", "5", "--out", str(out)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+    assert "--seed" in json.loads(lines[0])["detail"]
+    assert not out.exists()
+    assert cli.main(rr + ["--out", str(out)]) == 0
+    man = json.loads(out.read_text())
+    assert man["params"]["rng_seed"] == man["family"]["provenance"]["rng_seed"] == 0
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--N", "0"), ("--M", "0"), ("--M", "-2"), ("--D", "0"), ("--D", "-3"),
+    ("--inner-size", "0"), ("--inner-size", "-1")])
+def test_build_family_count_below_one_exit_code(flag, value, tmp_path, capsys):
+    """--N, --M, --D and --inner-size are counts: below 1 exits 4 with one
+    JSON line and writes nothing."""
+    argv = list(FAMILY_ARGS)
+    argv[argv.index(flag) + 1] = value
+    out = tmp_path / "fam.json"
+    assert cli.main(argv + ["--out", str(out)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+    assert flag in json.loads(lines[0])["detail"]
+    assert not out.exists()
 
 
 

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from codefam import code as cd
 from codefam import ensemble as ens
+from codefam import matrix as mx
 from codefam.gf import make_field
 
 f2 = make_field(2, 1)
@@ -215,6 +216,109 @@ def inner_searches(draw):
 @example((2, 5, Fraction(2, 5), Fraction(1, 3), 3, 1))
 def test_inner_search_matches_count_per_pattern_oracle(case):
     q, L, delta_in, mu, size, k = case
+    spec = make_field(q, 1)
+    codes = len(ens._rref_generators(spec, k, L))
+    assume(math.comb(codes + size - 1, size) <= 3000)
+    want = oracle_inner_search(spec, L, delta_in, mu, size, k)
+    before = ens.SEARCH_STATS["ensembles_examined"]
+    try:
+        got = [c.G.tolist() for c in ens.exhaustive_inner_search(spec, L, delta_in, mu,
+                                                                  size, k=k).codes]
+    except ens.SearchExhausted:
+        got = None
+    assert (got, ens.SEARCH_STATS["ensembles_examined"] - before) == want
+
+
+def test_exhaustive_inner_search_past_64_patterns():
+    """70 patterns of 4 erasures in 8 positions, two mask words a code:
+    the family and the count recorded before the masks came from codeword
+    supports."""
+    before = ens.SEARCH_STATS["ensembles_examined"]
+    fam = ens.exhaustive_inner_search(f2, 8, Fraction(1, 2), Fraction(1, 2), 2, k=2)
+    assert [c.G.tolist() for c in fam.codes] == [
+        [[0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 1]],
+        [[0, 1, 0, 0, 1, 1, 1, 1], [0, 0, 1, 1, 0, 1, 1, 1]]]
+    assert ens.SEARCH_STATS["ensembles_examined"] - before == 1531
+
+
+def test_exhaustive_inner_search_budget_stops_before_a_later_hit():
+    """The hit is the 74,351st ensemble: a budget one short of it covers
+    exactly the budget and raises, and that budget finds it."""
+    args = (f2, 7, Fraction(2, 7), Fraction(1, 3), 3)
+    before = ens.SEARCH_STATS["ensembles_examined"]
+    with pytest.raises(ens.BudgetExceeded):
+        ens.exhaustive_inner_search(*args, k=2, budget=74350)
+    assert ens.SEARCH_STATS["ensembles_examined"] - before == 74350
+    fam = ens.exhaustive_inner_search(*args, k=2, budget=74351)
+    assert ens.SEARCH_STATS["ensembles_examined"] - before == 74350 + 74351
+    assert ens.verify_family(fam).passed
+
+
+@pytest.mark.parametrize("size,mu,delta_in", [
+    (0, Fraction(1, 2), Fraction(1, 2)), (-1, Fraction(1, 2), Fraction(1, 2)),
+    (2, Fraction(-1, 2), Fraction(1, 2)), (2, Fraction(3, 2), Fraction(1, 2)),
+    (2, Fraction(1), Fraction(1, 2)), (2, Fraction(1, 2), Fraction(-1, 4))])
+def test_exhaustive_inner_search_rejects_size_and_fractions(size, mu, delta_in):
+    """A family size below 1, or mu or delta outside [0, 1), raises
+    EnsembleError itself before anything is enumerated; a negative mu
+    (whose crowd of failing members would be 0) returns no family."""
+    before = dict(ens.SEARCH_STATS)
+    with pytest.raises(ens.EnsembleError) as exc:
+        ens.exhaustive_inner_search(f2, 4, delta_in, mu, size, k=2)
+    assert type(exc.value) is ens.EnsembleError
+    assert ens.SEARCH_STATS == before
+
+
+MASK_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(2, 2), f5]
+
+
+@st.composite
+def mask_cases(draw):
+    """(field, L, k, erasures, generator count, seed, entry density, chunk
+    cells): the chunk cells at 1 put one generator in each chunk."""
+    L = draw(st.integers(1, 8))
+    return (draw(st.sampled_from(MASK_FIELDS)), L, draw(st.integers(1, min(L, 3))),
+            draw(st.integers(0, L - 1)), draw(st.integers(1, 6)),
+            draw(st.integers(0, 2 ** 32 - 1)), draw(st.sampled_from([0.3, 0.6, 1.0])),
+            draw(st.sampled_from([1, 64, ens.MASK_CHUNK_CELLS])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mask_cases())
+@example((make_field(2, 2), 8, 2, 4, 6, 1, 0.6, ens.MASK_CHUNK_CELLS))  # 70 patterns
+@example((make_field(3, 1), 8, 3, 4, 6, 2, 0.3, 1))  # 70 patterns, six chunks
+def test_fail_masks_match_corrects_pattern(case):
+    """Codeword-support fail masks against one rank check per pattern."""
+    spec, L, k, s, count, seed, density, cells = case
+    rng = np.random.default_rng(seed)
+    gens = []
+    while len(gens) < count:
+        G = rng.integers(0, spec.q, (k, L)) * (rng.random((k, L)) < density)
+        if mx.rank(spec, G) == k:
+            gens.append(G)
+    patterns = list(combinations(range(L), s))
+    saved = ens.MASK_CHUNK_CELLS
+    try:
+        ens.MASK_CHUNK_CELLS = cells
+        masks = ens._fail_masks(spec, np.array(gens), patterns)
+    finally:
+        ens.MASK_CHUNK_CELLS = saved
+    assert masks.shape == (count, -(-len(patterns) // 64))
+    for G, words in zip(gens, masks):
+        code = cd.LinearCode(spec, G)
+        want = sum(1 << i for i, pat in enumerate(patterns) if not cd.corrects_pattern(code, pat))
+        assert int.from_bytes(words.tobytes(), "little") == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(2, 5), st.data())
+def test_inner_search_matches_oracle_past_two_failing_members(q, L, data):
+    """Ensembles of 3 to 5 that tolerate 2 to 4 failing members a pattern,
+    so the branch and bound keeps three levels or more."""
+    size = data.draw(st.integers(3, 5))
+    mu = Fraction(data.draw(st.integers(2, size - 1)), size)
+    k = data.draw(st.integers(1, min(L, 2)))
+    delta_in = Fraction(data.draw(st.integers(1, L - 1)), L)
     spec = make_field(q, 1)
     codes = len(ens._rref_generators(spec, k, L))
     assume(math.comb(codes + size - 1, size) <= 3000)
