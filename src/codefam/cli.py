@@ -149,17 +149,19 @@ def read_matrix_file(path: str, spec=None):
 
 # build-graph flags: (flag, manifest parameter, type, default)
 GRAPH_FLAGS = [
-    ("--M", "M", int, 4), ("--N", "N", int, 8), ("--n", "n", int, 4),
-    ("--M_b", "M_b", int, 2), ("--D", "D", int, 4), ("--D_in", "D_in", int, 4),
+    ("--M", "M", _count, 4), ("--N", "N", _count, 8), ("--n", "n", _count, 4),
+    ("--M_b", "M_b", _count, 2), ("--D", "D", _count, 4), ("--D_in", "D_in", _count, 4),
     ("--drow", "delta_row", _frac, Fraction(0)), ("--dcol", "delta_col", _frac, Fraction(0)),
     ("--delta", "delta", _frac, Fraction(0)),
     ("--dprime", "delta_prime", _frac, Fraction(1, 4)), ("--eta", "eta", _frac, Fraction(1, 4)),
-    ("--ell", "ell", int, 2), ("--ell0", "ell0", int, 2), ("--inner-ell0", "inner_ell0", int, 2),
-    ("--k-row", "k_row", int, 2), ("--inner-k-row", "inner_k_row", int, 2),
-    ("--family-size", "family_size", int, 4), ("--eps-fam", "eps_fam", _frac, Fraction(1, 4)),
+    ("--ell", "ell", _count, 2), ("--ell0", "ell0", _count, 2),
+    ("--inner-ell0", "inner_ell0", _count, 2),
+    ("--k-row", "k_row", _count, 2), ("--inner-k-row", "inner_k_row", _count, 2),
+    ("--family-size", "family_size", _count, 4), ("--eps-fam", "eps_fam", _frac, Fraction(1, 4)),
     ("--seed", "rng_seed", int, 0),
 ]
 _FRACTIONS = {name for _, name, typ, _ in GRAPH_FLAGS if typ is _frac}
+_COUNTS = {name for _, name, typ, _ in GRAPH_FLAGS if typ is _count}
 
 
 def _exactly(n: int, delta) -> tuple[int, int, int]:
@@ -206,12 +208,15 @@ def _parsed(parse, *args):
 
 def _param(params: dict, name: str):
     """A graph manifest parameter, of its build-graph flag's type: a fraction
-    written as a string, or else a JSON integer (not a bool)."""
+    written as a string, or else a JSON integer (not a bool), of at least 1
+    for a count."""
     v = params[name]
     if name in _FRACTIONS:
         return _parsed(_frac, v)
     if type(v) is not int:
         raise InputError(f"manifest parameter {name!r} is not an integer: {v!r}")
+    if name in _COUNTS and v < 1:
+        raise InputError(f"manifest parameter {name!r} is a count below 1: {v}")
     return v
 
 

@@ -15,13 +15,14 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate, combinations, product
+from functools import partial, reduce
+from itertools import accumulate, combinations, islice, product
+from operator import or_
 
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import (LinearCode, UnitCode, corrects_pattern, code_to_text,
+from codefam.code import (CodeError, LinearCode, UnitCode, corrects_pattern, code_to_text,
                           code_from_text)
 from codefam.gf import FieldSpec
 
@@ -184,6 +185,159 @@ def _pattern_at(blocks, index: int) -> tuple:
     return tuple(pat)
 
 
+# `scan_patterns` tests codeword supports instead of walking a code when
+# the code has at most 64 cells (a support is one uint64) and its codeword
+# lines times its cells are at most this.  The support side costs about
+# lines x cells (one `matmul`, shared by a family's codes), the walk about
+# its patterns.  Measured on full exhaustive scans of random codes (2-core
+# VM, numpy 2.4.6; 16 to 64 cells, 500 to 2,000 patterns): one GF(2) code
+# broke even near 2^14 (supports 1.4x faster at 2^13.6, walk 1.7x at
+# 2^14.0 on 32 cells), eight near 2^16 (supports 1.6-4x faster at 2^15),
+# and one GF(3) code between 2^15 and 2^17.  A scan stopped at an early
+# failure favours the walk at any size.
+SUPPORT_SIDE_CELLS = 1 << 14
+
+# Codeword cells (lines x generators x cells) that one `matmul` of
+# `_supports` makes, support x pattern tests that one chunk of `_fails`
+# makes, and patterns that `_support_scan` builds, at once: 128 KB int64
+# temporaries.  2^16 ran certify no faster (2-core VM, six 10 s runs) and
+# raised its peak RSS by about 1 MB.
+MASK_CHUNK_CELLS = 1 << 14
+
+
+def _lines(q: int, k: int) -> np.ndarray:
+    """Every length-k message whose first nonzero entry is 1: one per line
+    of F_q^k, (q^k - 1) / (q - 1) rows."""
+    blocks = [np.zeros((0, k), dtype=np.int64)]
+    for lead in range(k):
+        tails = np.array(list(product(range(q), repeat=k - lead - 1)), dtype=np.int64)
+        heads = np.zeros((len(tails), lead + 1), dtype=np.int64)
+        heads[:, lead] = 1
+        blocks.append(np.hstack([heads, tails]))
+    return np.concatenate(blocks)
+
+
+def _supports(spec: FieldSpec, gens: np.ndarray, most: int):
+    """(owners, supports): the supports, as cell bitmasks, of the nonzero
+    codewords of weight at most `most` of every generator in `gens` (n x k
+    x L, L <= 64), one codeword per line, each with the index of the
+    generator it comes from, in generator order.  The lines are multiplied
+    by a chunk of the generators at a time, stacked side by side."""
+    n, k, L = gens.shape
+    msgs = _lines(spec.q, k)
+    bits = np.uint64(1) << np.arange(L, dtype=np.uint64)
+    owners, supports = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.uint64)]
+    step = max(1, MASK_CHUNK_CELLS // max(1, len(msgs) * L))
+    for lo in range(0, n, step):
+        chunk = gens[lo:lo + step]
+        words = mx.matmul(spec, msgs, chunk.transpose(1, 0, 2).reshape(k, len(chunk) * L))
+        nonzero = words.reshape(len(msgs), len(chunk), L).transpose(1, 0, 2) != 0
+        code, line = np.nonzero(nonzero.sum(axis=2) <= most)
+        owners.append(code + lo)
+        supports.append(nonzero[code, line] @ bits)
+    return np.concatenate(owners), np.concatenate(supports)
+
+
+def _fails(owners, supports, kept: np.ndarray, ncodes: int) -> np.ndarray:
+    """(ncodes x patterns) bools: code i fails pattern j iff one of its
+    supports (grouped by owner, in order) misses every cell that j keeps.
+
+    A linear code fails an erasure pattern iff some nonzero codeword has
+    its support inside the erased set (MacWilliams-Sloane, ch. 1).
+    """
+    fails = np.zeros((ncodes, len(kept)), dtype=bool)
+    if len(supports):
+        starts = np.flatnonzero(np.diff(owners, prepend=-1))
+        step = max(1, MASK_CHUNK_CELLS // len(supports))
+        for lo in range(0, len(kept), step):
+            inside = (supports[:, None] & kept[None, lo:lo + step]) == 0
+            fails[owners[starts], lo:lo + step] = np.logical_or.reduceat(inside, starts, axis=0)
+    return fails
+
+
+def _on_supports(code: UnitCode) -> bool:
+    """Whether `scan_patterns` tests this code's codeword supports."""
+    q, cells = code.spec.q, code.G.shape[1]
+    return cells <= 64 and (q ** code.dim - 1) // (q - 1) * cells <= SUPPORT_SIDE_CELLS
+
+
+def _rank_error(code: UnitCode) -> CodeError:
+    return CodeError(f"G has rank {mx.rank(code.spec, code.G)}, not dim = {code.dim}")
+
+
+def _support_counter(codes: list[UnitCode], axes):
+    """A function from erased-cell masks (uint64) to how many of `codes`
+    fail each, by `_fails` on the supports no heavier than the most cells
+    a pattern of the axes erases.
+
+    Each G is first reduced to `dim` rows, since a G with more rows than
+    its rank has a nonzero message that encodes to 0; CodeError when the
+    rank of a G is not its dim.
+    """
+    starts = accumulate((n for n, _, _ in axes), initial=0)
+    units = codes[0].units
+    # the heaviest hi units of each axis: exactly the most cells a pattern
+    # erases when no two units share a cell, and at least it otherwise
+    most = sum(sum(sorted((u.bit_count() for u in units[s:s + n]), reverse=True)[:hi])
+               for (n, _, hi), s in zip(axes, starts))
+    by_dim: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for i, c in enumerate(codes):
+        G = c.G
+        if len(G) > c.dim:
+            ech, pivots = mx._eliminate(c.spec, G)
+            G = np.asarray(ech[:len(pivots)], dtype=np.int64).reshape(len(pivots), G.shape[1])
+        if len(G) != c.dim:
+            raise _rank_error(c)
+        by_dim.setdefault(c.dim, []).append((i, G))
+    owners, supports = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.uint64)]
+    for members in by_dim.values():
+        o, s = _supports(codes[0].spec, np.array([G for _, G in members]), most)
+        owners.append(np.array([i for i, _ in members])[o])
+        supports.append(s)
+    order = np.argsort(np.concatenate(owners), kind="stable")
+    owners, supports = np.concatenate(owners)[order], np.concatenate(supports)[order]
+    if (supports == 0).any():  # G has dim rows but lower rank
+        raise _rank_error(codes[owners[np.argmax(supports == 0)]])
+    full = np.uint64((1 << codes[0].G.shape[1]) - 1)
+    return lambda erased: _fails(owners, supports, full & ~erased, len(codes)).sum(axis=0)
+
+
+def _support_scan(axes, codes: list[UnitCode], blocks, total: int, stop: bool):
+    """Exhaustive `scan_patterns` on the support side: (worst fail
+    fraction, smallest pattern reaching it, patterns tested)."""
+    counts = _support_counter(codes, axes)
+    units = np.array(codes[0].units, dtype=np.uint64)
+    offsets = list(accumulate((n for n, _, _ in axes), initial=0))
+
+    def erased(picks):  # the cells that each choice of units erases
+        return np.bitwise_or.reduce(units[np.array(picks, dtype=np.intp)], axis=1)
+
+    top, hits = 0, {}
+    for b, (first, slots) in enumerate(blocks):
+        choices = [combinations(range(off, off + n), sum(1 for o, *_ in slots if o == off))
+                   for (n, _, _), off in zip(axes, offsets)]
+        # a block's patterns, in scan order, are the products of one choice
+        # of units per axis: the later axes' at once, the first's in chunks
+        tail = np.zeros(1, dtype=np.uint64)
+        for picks in choices[1:]:
+            tail = (tail[:, None] | erased(list(picks))[None, :]).ravel()
+        at = first
+        while head := list(islice(choices[0], max(1, MASK_CHUNK_CELLS // len(tail)))):
+            failing = counts((erased(head)[:, None] | tail[None, :]).ravel())
+            peak = int(failing.max())
+            if stop and peak:
+                j = int(np.argmax(failing > 0))
+                return Fraction(int(failing[j]), len(codes)), _pattern_at(blocks, at + j), at + j + 1
+            if peak > top:
+                top, hits = peak, {}
+            if peak == top and top:
+                hits.setdefault(b, at + int(np.argmax(failing == top)))
+            at += len(failing)
+    if not top:
+        return Fraction(0), (), total
+    return Fraction(top, len(codes)), min(_pattern_at(blocks, i) for i in hits.values()), total
+
+
 def scan_patterns(axes, codes: list[UnitCode], mode: str = "exhaustive",
                   budget: int = 10 ** 7, rng_seed: int | None = None, *,
                   stop_at_failure: bool = False):
@@ -195,19 +349,29 @@ def scan_patterns(axes, codes: list[UnitCode], mode: str = "exhaustive",
     one sorted tuple.  Its fail fraction is the share of `codes` (over the
     same units) that cannot correct it.  Exhaustive mode covers the
     patterns by size, then in lexicographic order, within `budget` rank
-    checks (one per pattern and code), walking each code's patterns on the
-    dual side (`_walk`); with no failures it names no pattern.  Monte Carlo
-    mode draws `budget` (at least one) patterns of the largest sizes and
-    checks each with `UnitCode.corrects`.  stop_at_failure ends the scan at
-    the first failing pattern.  The notes count the prefixes whose completions the
-    walks failed in bulk and, summed over codes, those completions among
-    the patterns tested.
+    checks (one per pattern and code); with no failures it names no
+    pattern.  Monte Carlo mode draws `budget` (at least one) patterns of
+    the largest sizes.  stop_at_failure ends the scan at the first failing
+    pattern.
+
+    Two sides give the same answers.  When every code qualifies
+    (`_on_supports`: at most 64 cells and few codeword lines), each
+    pattern's kept cells are tested against the codes' light codeword
+    supports (`_support_counter`).  Otherwise exhaustive mode walks
+    each code on the dual side (`_walk`) and Monte Carlo mode checks each
+    draw with `UnitCode.corrects`.  The notes count pruning on walked
+    codes only: the prefixes whose completions the walks failed in bulk
+    and, summed over codes, those completions among the patterns tested.
     """
+    supported = all(map(_on_supports, codes))
     if mode == "exhaustive":
         blocks, total = _blocks(axes)
         count = total * len(codes)
         if count > budget:
             raise BudgetExceeded(f"{count} rank checks exceed budget {budget}")
+        if supported:
+            return *_support_scan(axes, codes, blocks, total, stop_at_failure), {
+                "prefixes_pruned": 0, "patterns_pruned": 0}
         walks = [_walk(c, blocks, stop_at_failure) for c in codes]
         worst, witness, tested = _worst(blocks, total, walks, len(codes), stop_at_failure)
         cuts = [(a, b) for w in walks for a, b, cut in w if cut and a < tested]
@@ -220,19 +384,38 @@ def scan_patterns(axes, codes: list[UnitCode], mode: str = "exhaustive",
         raise EnsembleError("montecarlo mode requires rng_seed")
     if budget < 1:
         raise BudgetExceeded(f"montecarlo budget {budget} draws no pattern")
+    if supported:
+        counts, units = _support_counter(codes, axes), codes[0].units
+
+        def failing(pats):
+            return counts(np.array([reduce(or_, (units[u] for u in pat), 0) for pat in pats],
+                                   dtype=np.uint64)).tolist()
+    else:
+        def failing(pats):  # lazily, so that stop_at_failure checks no later draw
+            return (sum(1 for c in codes if not c.corrects(pat)) for pat in pats)
     rng = random.Random(rng_seed)
     starts = list(accumulate((n for n, _, _ in axes), initial=0))
-    worst, witness, tested = Fraction(0), None, 0
-    for _ in range(budget):
-        pat = tuple(s + u for (n, _, hi), s in zip(axes, starts)
-                    for u in sorted(rng.sample(range(n), hi)))
-        frac = Fraction(sum(1 for c in codes if not c.corrects(pat)), len(codes))
+
+    def draws():
+        # in doubling batches of at most 1,024, so that stop_at_failure
+        # draws at most twice the patterns it tests
+        drawn = 0
+        while drawn < budget:
+            pats = [tuple(s + u for (n, _, hi), s in zip(axes, starts)
+                          for u in sorted(rng.sample(range(n), hi)))
+                    for _ in range(min(max(drawn, 1), budget - drawn, 1024))]
+            drawn += len(pats)
+            yield from zip(pats, failing(pats))
+
+    worst, witness, tested = 0, None, 0
+    for pat, fails in draws():
         tested += 1
-        if witness is None or frac > worst or (frac == worst and pat < witness):
-            worst, witness = frac, pat
-        if stop_at_failure and frac:
+        if witness is None or fails > worst or (fails == worst and pat < witness):
+            worst, witness = fails, pat
+        if stop_at_failure and fails:
             break
-    return worst, witness or (), tested, {"prefixes_pruned": 0, "patterns_pruned": 0}
+    return (Fraction(worst, len(codes)), witness, tested,
+            {"prefixes_pruned": 0, "patterns_pruned": 0})
 
 
 def _worst(blocks, total: int, walks, ncodes: int, stop: bool):
@@ -295,7 +478,11 @@ def verify_family(F: ErasureFamily, mode: str = "exhaustive",
     (smaller patterns are covered by correction monotonicity, which is
     property-tested separately, not assumed silently).  Monte Carlo mode
     samples `budget` uniform patterns of that size.  The report passes when
-    the worst per-pattern failing fraction is <= epsilon.
+    the worst per-pattern failing fraction is <= epsilon.  The members are
+    scanned by `scan_patterns`: on the support side when every member's
+    codeword lines are few (as at the existence-bound sizes), else walked
+    or checked per draw.  `notes` counts the walks' pruning, so it reads 0
+    on the support side and in Monte Carlo mode.
     """
     s = max_pattern_size(F)
     worst, witness, tested, notes = scan_patterns(
@@ -366,12 +553,12 @@ def sample_random_family(spec: FieldSpec, n: int, delta, eta, epsilon,
         raise RateNonpositive(f"rate (1 - {delta} - {eta}) gives k = {k}")
     rng = np.random.default_rng(rng_seed)
     codes = []
-    for _ in range(t):
-        while True:
-            G = rng.integers(0, spec.q, size=(k, n), dtype=np.int64)
-            if mx.rank(spec, G) == k:
-                codes.append(LinearCode(spec, G))
-                break
+    while len(codes) < t:
+        G = rng.integers(0, spec.q, size=(k, n), dtype=np.int64)
+        try:
+            codes.append(LinearCode(spec, G))
+        except CodeError:  # not full row rank: draw again
+            pass
     return ErasureFamily(codes, delta, epsilon)
 
 
@@ -397,35 +584,15 @@ def _rref_generators(spec: FieldSpec, k: int, L: int) -> np.ndarray:
     return flat[np.lexsort(flat.T[::-1])].reshape(-1, k, L)
 
 
-# Codeword cells (messages x generators x max(positions, patterns)) that
-# one chunk of `_fail_masks` holds at once.
-MASK_CHUNK_CELLS = 1 << 20
-
-
 def _fail_masks(spec: FieldSpec, gens: np.ndarray, patterns) -> np.ndarray:
-    """Per generator, the patterns its code cannot correct, as bits of
-    uint64 words: bit i of word w is pattern 64 w + i.
-
-    A linear code fails an erasure pattern iff some nonzero codeword has
-    its support inside the erased set.  The messages whose first nonzero
-    entry is 1 (one per line, so every support once) are multiplied by a
-    chunk of the generators at a time, stacked side by side.
-    """
-    n, k, L = gens.shape
-    msgs = np.array(list(product(range(spec.q), repeat=k))[1:], dtype=np.int64)
-    msgs = msgs[msgs[np.arange(len(msgs)), (msgs != 0).argmax(axis=1)] == 1]
-    weights = np.uint64(1) << np.arange(L, dtype=np.uint64)
-    # a support lies inside a pattern iff it misses every position the pattern keeps
+    """Per generator, the patterns its code cannot correct (`_fails`), as
+    bits of uint64 words: bit i of word w is pattern 64 w + i."""
+    L = gens.shape[2]
     kept = np.array([sum(1 << c for c in range(L) if c not in pat) for pat in patterns],
                     dtype=np.uint64)
-    fails = np.zeros((n, -(-len(patterns) // 64) * 64), dtype=bool)
-    step = max(1, MASK_CHUNK_CELLS // (len(msgs) * max(L, len(patterns))))
-    for lo in range(0, n, step):
-        chunk = gens[lo:lo + step]
-        codewords = mx.matmul(spec, msgs, chunk.transpose(1, 0, 2).reshape(k, -1))
-        supports = (codewords.reshape(len(msgs), len(chunk), L) != 0) @ weights
-        fails[lo:lo + len(chunk), :len(patterns)] = (
-            (supports[:, :, None] & kept) == 0).any(axis=0)
+    owners, supports = _supports(spec, gens, max(map(len, patterns), default=0))
+    fails = np.zeros((len(gens), -(-len(patterns) // 64) * 64), dtype=bool)
+    fails[:, :len(patterns)] = _fails(owners, supports, kept, len(gens))
     return np.packbits(fails, axis=1, bitorder="little").view("<u8")
 
 

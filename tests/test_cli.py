@@ -549,6 +549,69 @@ def test_build_graph_foreign_flag_exit_code(kind, flags, tmp_path, capsys):
     assert not out.exists()
 
 
+COUNT_FLAGS = ["--M", "--N", "--n", "--M_b", "--D", "--D_in", "--ell", "--ell0",
+               "--inner-ell0", "--k-row", "--inner-k-row", "--family-size"]
+
+
+@pytest.mark.parametrize("flag", COUNT_FLAGS)
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_build_graph_count_flag_below_one_is_a_usage_error(flag, value):
+    """Every build-graph count flag rejects a value below 1 as it is parsed
+    (nearly-mds with --N 0 used to draw generators forever)."""
+    with pytest.raises(cli.InputError, match=flag):
+        cli.build_parser().parse_args(["build-graph", "--kind", "nearly-mds", "--q", "2",
+                                       flag, value, "--out", "man.json"])
+    assert getattr(cli.build_parser().parse_args(
+        ["build-graph", "--kind", "nearly-mds", "--q", "2", flag, "1", "--out", "man.json"]),
+        flag.lstrip("-").replace("-", "_")) == 1
+
+
+@pytest.mark.parametrize("kind,flag", [("bipartite", "--M"), ("symmetric", "--n"),
+                                       ("nearly-mds-improved", "--D")])
+def test_build_graph_count_below_one_exit_code(kind, flag, tmp_path, capsys):
+    """A count flag below 1 exits 4 with one JSON line and writes nothing
+    (it exited 3 from the builders)."""
+    out = tmp_path / "man.json"
+    assert cli.main(["build-graph", "--kind", kind, "--q", "2", flag, "0",
+                     "--out", str(out)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+    assert flag in json.loads(lines[0])["detail"]
+    assert not out.exists()
+
+
+def test_manifest_count_below_one_is_an_input_error():
+    """A graph manifest's count parameter below 1 is rejected as it is read;
+    the seed, a plain integer, is not a count."""
+    for _, name, typ, _ in cli.GRAPH_FLAGS:
+        if typ is cli._count:
+            with pytest.raises(cli.InputError, match=name):
+                cli._param({name: 0}, name)
+            assert cli._param({name: 1}, name) == 1
+    assert cli._param({"rng_seed": 0}, "rng_seed") == 0
+    assert sorted(name for _, name, typ, _ in cli.GRAPH_FLAGS if typ is cli._count) == sorted(
+        f.lstrip("-").replace("-", "_") for f in COUNT_FLAGS)
+
+
+@pytest.mark.parametrize("fixture,name", [("bp_manifest", "M"), ("nmi_manifest", "D")])
+@pytest.mark.parametrize("command", ["verify-graph", "encode", "decode"])
+def test_manifest_count_below_one_exit_code(fixture, name, command, request, tmp_path, capsys):
+    """A hand-edited manifest with a count of 0 exits 4 (it exited 3)."""
+    man = json.loads(request.getfixturevalue(fixture).read_text())
+    man["params"][name] = 0
+    bad, word = tmp_path / "bad.json", tmp_path / "word.txt"
+    bad.write_text(json.dumps(man))
+    cli.write_matrix_file(str(word), f2, [[0]])
+    argv = [command, "--code", str(bad)]
+    if command != "verify-graph":
+        argv += ["--in", str(word), "--out", str(tmp_path / "out.txt")]
+    capsys.readouterr()
+    assert cli.main(argv) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+    assert name in json.loads(lines[0])["detail"]
+
+
 # sha256 prefixes of each graph kind's manifest and of its codeword of the
 # message [1, 0, 0, 1, 0, 0, ...], recorded before the kinds shared one codec
 GRAPH_PINS = {"bipartite": ("7c03a508bafb2f68", "2120207feec2ec25"),

@@ -1,19 +1,25 @@
-"""Differential tests of the dual-side pattern scan.
+"""Differential tests of the two sides of the pattern scan.
 
-Exhaustive `ens.scan_patterns` walks each code's patterns depth first with
-an echelon basis of parity-check columns and fails every completion of a
-dependent prefix at once.  The oracle below is the per-pattern primal loop
-it replaced: every pattern in scan order, one `UnitCode.corrects` rank
-check per code.
+`ens.scan_patterns` tests each pattern's kept cells against the codes'
+light codeword supports when every code has few codeword lines (the
+support side), and otherwise walks each code's patterns depth first with
+an echelon basis of parity-check columns, failing every completion of a
+dependent prefix at once (the walk side).  `ens.SUPPORT_SIDE_CELLS`
+picks the side, so the tests force each one through it.  The oracle is
+the per-pattern primal loop both replaced: every pattern in scan order,
+one `UnitCode.corrects` rank check per code.  In Monte Carlo mode the
+oracle draws as the scan does and checks each draw the same way.
 """
 
 import math
+import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from codefam import code as cd
 from codefam import ensemble as ens
@@ -51,6 +57,35 @@ def primal_scan(axes, codes, stop_at_failure=False):
         if stop_at_failure and frac:
             break
     return worst, witness, tested
+
+
+def montecarlo_oracle(axes, codes, budget, seed, stop_at_failure=False):
+    """(worst, witness, tested) of `budget` draws of the largest sizes from
+    random.Random(seed), one primal rank check per draw and code."""
+    rng = random.Random(seed)
+    starts = list(accumulate((n for n, _, _ in axes), initial=0))
+    worst, witness, tested = Fraction(0), None, 0
+    for _ in range(budget):
+        pat = tuple(s + u for (n, _, hi), s in zip(axes, starts)
+                    for u in sorted(rng.sample(range(n), hi)))
+        frac = Fraction(sum(1 for c in codes if not c.corrects(pat)), len(codes))
+        tested += 1
+        if witness is None or frac > worst or (frac == worst and pat < witness):
+            worst, witness = frac, pat
+        if stop_at_failure and frac:
+            break
+    return worst, witness, tested
+
+
+@contextmanager
+def side(name, chunk_cells=None):
+    """Force every code onto one side of the scan ("walk" or "supports"),
+    optionally with `chunk_cells` as the support side's chunk bound."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ens, "SUPPORT_SIDE_CELLS", -1 if name == "walk" else 1 << 62)
+        if chunk_cells is not None:
+            mp.setattr(ens, "MASK_CHUNK_CELLS", chunk_cells)
+        yield
 
 
 def pruning_oracle(axes, codes):
@@ -111,12 +146,43 @@ def scans(draw):
 @settings(max_examples=300, deadline=None)
 @given(scans(), st.booleans())
 def test_scan_matches_primal_oracle(scan, stop):
+    """The walk side, and the pruning its notes count."""
     axes, codes = scan
-    worst, witness, tested, notes = ens.scan_patterns(axes, codes, stop_at_failure=stop)
+    with side("walk"):
+        worst, witness, tested, notes = ens.scan_patterns(axes, codes, stop_at_failure=stop)
     assert (worst, witness, tested) == primal_scan(axes, codes, stop)
     assert notes["patterns_pruned"] <= tested * len(codes)
     if not stop:
         assert notes == pruning_oracle(axes, codes)
+
+
+def gf3_family():
+    """Five [8, 4] codes over GF(3) that fail some patterns of 3 positions."""
+    spec = FIELDS[1]
+    gens = np.random.default_rng(2).integers(0, 3, (5, 4, 8))
+    return [(8, 3, 3)], [cd.UnitCode(spec, G, [1 << i for i in range(8)], dim=mx.rank(spec, G))
+                         for G in gens]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scans(), st.booleans(), st.sampled_from([1, 64, ens.MASK_CHUNK_CELLS]),
+       st.integers(0, 2 ** 32 - 1))
+@example(gf3_family(), False, 1, 0)  # 56 patterns, one support test a chunk
+def test_support_side_matches_primal_oracle(scan, stop, chunk_cells, seed):
+    """The support side in both modes, with chunk bounds down to one
+    support test (and one pattern, and one generator) a chunk."""
+    axes, codes = scan
+    with side("supports", chunk_cells):
+        got = ens.scan_patterns(axes, codes, stop_at_failure=stop)
+    assert got[:3] == primal_scan(axes, codes, stop)
+    assert got[3] == {"prefixes_pruned": 0, "patterns_pruned": 0}
+    # Monte Carlo draws need hi <= n on every axis
+    axes = [(n, min(lo, n), min(hi, n)) for n, lo, hi in axes]
+    want = montecarlo_oracle(axes, codes, 40, seed, stop)
+    for name in ("supports", "walk"):
+        with side(name, chunk_cells):
+            got = ens.scan_patterns(axes, codes, "montecarlo", 40, seed, stop_at_failure=stop)
+        assert got[:3] == want
 
 
 def test_full_rank_square_code_fails_every_nonempty_pattern():
@@ -145,14 +211,19 @@ def test_exhaustive_scan_makes_no_primal_rank_checks(monkeypatch):
     def no_primal(self, erased):
         raise AssertionError("an exhaustive scan made a primal rank check")
     monkeypatch.setattr(cd.UnitCode, "corrects", no_primal)
-    rep = ens.verify_family(F)
-    assert (rep.worst_fail_fraction, rep.worst_pattern, rep.patterns_tested) == family_want
-    rep = ens.verify_units(R.unit_code, axes)
-    assert (rep.worst_fail_fraction, rep.worst_pattern, rep.patterns_tested) == graph_want
-    with pytest.raises(AssertionError):  # Monte Carlo mode checks each draw
+    for name in ("supports", "walk"):
+        with side(name):
+            rep = ens.verify_family(F)
+            assert (rep.worst_fail_fraction, rep.worst_pattern,
+                    rep.patterns_tested) == family_want
+            rep = ens.verify_units(R.unit_code, axes)
+            assert (rep.worst_fail_fraction, rep.worst_pattern,
+                    rep.patterns_tested) == graph_want
+    with side("walk"), pytest.raises(AssertionError):  # Monte Carlo walked codes check each draw
         ens.verify_family(F, mode="montecarlo", budget=5, rng_seed=1)
 
 
+@side("walk")
 def test_notes_count_pruning_deterministically():
     reps = [ens.verify_family(ens.sample_random_family(f2, 12, QUARTER, QUARTER, QUARTER,
                                                        8, rng_seed=5))
