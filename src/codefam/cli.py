@@ -295,9 +295,17 @@ def cmd_build_family(a) -> int:
     return EXIT_PASS
 
 
+def _scan_seed(a) -> int | None:
+    """A verify command's --seed, which only Monte Carlo mode draws from."""
+    if (a.seed is None) == (a.mode == "montecarlo"):
+        raise InputError("--seed: montecarlo mode needs one, exhaustive mode draws nothing")
+    return a.seed
+
+
 def cmd_verify_family(a) -> int:
+    seed = _scan_seed(a)
     fam = _read_family(a.manifest)
-    rep = ens.verify_family(fam, mode=a.mode, budget=a.budget, rng_seed=a.seed)
+    rep = ens.verify_family(fam, mode=a.mode, budget=a.budget, rng_seed=seed)
     out = {
         "mode": rep.mode,
         "patterns_tested": rep.patterns_tested,
@@ -329,6 +337,7 @@ def cmd_build_graph(a) -> int:
 
 
 def cmd_verify_graph(a) -> int:
+    seed = _scan_seed(a)
     man = _read_json(a.code)
     if man["kind"] == "family":
         raise InputError("a family manifest is not a graph code")
@@ -339,7 +348,7 @@ def cmd_verify_graph(a) -> int:
     delta = a.delta if a.delta is not None else _parsed(
         _frac, man.get("delta") or man["params"].get("delta", "0"))
     axes = GRAPH_KINDS[man["kind"]][3](code, delta)
-    rep = ens.verify_units(code.unit_code, axes, a.mode, a.budget, a.seed)
+    rep = ens.verify_units(code.unit_code, axes, a.mode, a.budget, seed)
     witness = ens.split_pattern(rep.worst_pattern, axes)
     out = {"passed": rep.passed, "patterns_tested": rep.patterns_tested,
            "witness": witness if len(witness) > 1 else witness[0],

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import islice, product
 
 import numpy as np
 
@@ -187,34 +187,45 @@ def _solve_erasures(spec: FieldSpec, G: np.ndarray, cols, vals, failure: str):
     return x
 
 
+def _lines(q: int, k: int, rows: int = 1 << 16):
+    """Every length-k message whose first nonzero entry is 1, one per line
+    of F_q^k ((q^k - 1) / (q - 1) of them), by the position of that entry,
+    then in lexicographic order; yielded in chunks of at most `rows` rows.
+    q^(k-1-j) lines lead with entry j, and it is entry j's place value in
+    a line's offset past the first of them."""
+    sizes = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    for lo in range(0, total, rows):
+        idx = np.arange(lo, min(lo + rows, total), dtype=np.int64)
+        lead = np.searchsorted(starts, idx, side="right") - 1
+        chunk = (idx - starts[lead])[:, None] // sizes % q  # 0 up to the lead
+        chunk[np.arange(len(idx)), lead] = 1
+        yield chunk
+
+
 def min_distance(C: LinearCode) -> int:
     """Minimum Hamming weight over nonzero codewords.
 
-    Enumerates messages when q^k is small; otherwise falls back to the
-    erasure-pattern characterization (the distance is the smallest size of
-    an uncorrectable pattern), which only needs 2^n to be small.
+    When q^k is small, the least weight of the codewords of `_lines` (one
+    per line: a scalar multiple has the same weight).  Otherwise, when 2^n
+    is small, the size of the first pattern that `scan_patterns` finds
+    uncorrectable: the distance is the smallest size of an uncorrectable
+    pattern, and the scan runs by size.
     """
     q, k, n = C.spec.q, C.k, C.n
     if q ** k <= BRUTE_FORCE_BOUND:
         best = n
-        total = q ** k
-        chunk = 1 << 16
-        for lo in range(1, total, chunk):
-            idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-            msgs = np.stack([(idx // q ** i) % q for i in range(k)], axis=1)
-            cws = mx.matmul(C.spec, msgs, C.G)
-            w = int(np.count_nonzero(cws, axis=1).min())
-            if w < best:
-                best = w
-                if best == 1:
-                    return best
+        for msgs in _lines(q, k):
+            best = min(best, int(np.count_nonzero(mx.matmul(C.spec, msgs, C.G), axis=1).min()))
+            if best == 1:
+                break
         return best
     if 2 ** n <= BRUTE_FORCE_BOUND:
-        for w in range(1, n + 1):
-            for S in combinations(range(n), w):
-                if not corrects_pattern(C, S):
-                    return w
-        return n  # unreachable for k >= 1
+        from codefam.ensemble import scan_patterns
+        _, witness, _, _ = scan_patterns([(n, 1, n)], [C.unit_code], budget=BRUTE_FORCE_BOUND,
+                                         stop_at_failure=True)
+        return len(witness)
     raise TooLarge(f"q^k = {q}^{k} and 2^n both exceed the brute-force bound")
 
 
@@ -503,56 +514,36 @@ def expand_code(C: LinearCode, sub: FieldSpec) -> LinearCode:
 
     Equivalent to concatenating with the identity inner code.
     """
-    from codefam.matrix import identity
-    inner = LinearCode(sub, identity(symbol_digit_map(C.spec, sub)))
+    inner = LinearCode(sub, mx.identity(symbol_digit_map(C.spec, sub)))
     return concatenate(C, inner)
-
-
-def _int_to_vec(v: int, q: int, n: int) -> np.ndarray:
-    """Base-q digits of v, most significant digit first (canonical order)."""
-    out = np.zeros(n, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        out[i] = v % q
-        v //= q
-    return out
 
 
 def gv_search(spec: FieldSpec, n: int, d: int) -> LinearCode:
     """Greedy search for a code of length n and min distance >= d.
 
-    Scans candidate generator rows in canonical integer order and keeps a
-    row whenever the enlarged span still has minimum weight >= d.  The
-    result is inclusion-maximal (no further row can be added), determinate,
-    and meets the Gilbert-Varshamov dimension on the small instances this
-    library targets.
+    Scans candidate generator rows in canonical order (base-q digits, most
+    significant first) and keeps a row iff every codeword it adds to the
+    span, w + c*row for w in the span and c != 0, has weight >= max(d, 1);
+    weight 0 means the row already lies in the span.  The result is
+    inclusion-maximal (no further row can be added), determinate, and meets
+    the Gilbert-Varshamov dimension on the small instances this library
+    targets.
     """
     q = spec.q
     if q ** n > BRUTE_FORCE_BOUND * 16:
         raise TooLarge(f"q^n = {q}^{n} too large for exhaustive row scan")
     if d > n:
         raise Infeasible(f"no length-{n} code has distance {d}")
-    rows: list[np.ndarray] = []
-    span = {0: np.zeros(n, dtype=np.int64)}  # span elements keyed by encoding
-    for v in range(1, q ** n):
-        vec = _int_to_vec(v, q, n)
-        ok = True
-        new = {}
-        for w in span.values():
-            for c in range(1, q):
-                cand = spec.add(w, spec.mul(np.int64(c), vec))
-                key = int(np.dot(cand, q ** np.arange(n - 1, -1, -1)))
-                if key in span or key in new:
-                    ok = False  # v already in span (c*v = w' - w)
-                    break
-                if np.count_nonzero(cand) < d:
-                    ok = False
-                    break
-                new[key] = cand
-            if not ok:
+    scalars = np.arange(1, q, dtype=np.int64)[:, None]
+    rows, span = [], np.zeros((1, n), dtype=np.int64)
+    for row in islice(product(range(q), repeat=n), 1, None):
+        row = np.array(row, dtype=np.int64)
+        new = spec.add(span[None], spec.mul(scalars, row)[:, None]).reshape(-1, n)
+        if np.count_nonzero(new, axis=1).min() >= max(d, 1):
+            rows.append(row)
+            span = np.concatenate([span, new])
+            if len(rows) == n:  # the span is F_q^n, so it holds every later row
                 break
-        if ok:
-            rows.append(vec)
-            span.update(new)
     if not rows:
         raise Infeasible(f"no [{n}, >=1] code with distance {d} found")
     return LinearCode(spec, np.stack(rows))

@@ -22,8 +22,8 @@ from operator import or_
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import (CodeError, LinearCode, UnitCode, corrects_pattern, code_to_text,
-                          code_from_text)
+from codefam.code import (CodeError, LinearCode, UnitCode, _lines, corrects_pattern,
+                          code_to_text, code_from_text)
 from codefam.gf import FieldSpec
 
 
@@ -195,6 +195,13 @@ def _pattern_at(blocks, index: int) -> tuple:
 # 2^14.0 on 32 cells), eight near 2^16 (supports 1.6-4x faster at 2^15),
 # and one GF(3) code between 2^15 and 2^17.  A scan stopped at an early
 # failure favours the walk at any size.
+#
+# So the single codes that `verify_units` checks stay walked: forcing the
+# support side slowed each benchmark fixture (in-process medians of 7 runs)
+#   nearly-MDS (dim 12, 48 cells, 220 patterns)   walk 1.7 ms,  supports 8.4 ms
+#   improved nearly-MDS (dim 16, 48 cells)        walk 2.0 ms,  supports 145 ms
+#   symmetric outer block (dim 10, 64 cells)      walk 0.70 ms, supports 1.64 ms
+# and the symmetric code's 256 cells do not fit a uint64 support.
 SUPPORT_SIDE_CELLS = 1 << 14
 
 # Codeword cells (lines x generators x cells) that one `matmul` of
@@ -205,18 +212,6 @@ SUPPORT_SIDE_CELLS = 1 << 14
 MASK_CHUNK_CELLS = 1 << 14
 
 
-def _lines(q: int, k: int) -> np.ndarray:
-    """Every length-k message whose first nonzero entry is 1: one per line
-    of F_q^k, (q^k - 1) / (q - 1) rows."""
-    blocks = [np.zeros((0, k), dtype=np.int64)]
-    for lead in range(k):
-        tails = np.array(list(product(range(q), repeat=k - lead - 1)), dtype=np.int64)
-        heads = np.zeros((len(tails), lead + 1), dtype=np.int64)
-        heads[:, lead] = 1
-        blocks.append(np.hstack([heads, tails]))
-    return np.concatenate(blocks)
-
-
 def _supports(spec: FieldSpec, gens: np.ndarray, most: int):
     """(owners, supports): the supports, as cell bitmasks, of the nonzero
     codewords of weight at most `most` of every generator in `gens` (n x k
@@ -224,7 +219,7 @@ def _supports(spec: FieldSpec, gens: np.ndarray, most: int):
     generator it comes from, in generator order.  The lines are multiplied
     by a chunk of the generators at a time, stacked side by side."""
     n, k, L = gens.shape
-    msgs = _lines(spec.q, k)
+    msgs = np.concatenate([np.zeros((0, k), dtype=np.int64), *_lines(spec.q, k)])  # k = 0: none
     bits = np.uint64(1) << np.arange(L, dtype=np.uint64)
     owners, supports = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.uint64)]
     step = max(1, MASK_CHUNK_CELLS // max(1, len(msgs) * L))

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import (ConcatenatedCode, GridCode, InterleavedCode, LinearCode,
+from codefam.code import (CodeError, ConcatenatedCode, GridCode, InterleavedCode, LinearCode,
                           InfeasibleAtDeskScale, UnitCode, grid_units, reed_solomon)
 from codefam.ensemble import ErasureFamily, verify_family
 from codefam.gf import FieldSpec, _prime_power, make_field
@@ -130,8 +130,10 @@ def _sample_column_family(q_spec: FieldSpec, N: int, ell: int, size: int,
         codes = []
         while len(codes) < size:
             G = rng.integers(0, q_spec.q, size=(ell, N), dtype=np.int64)
-            if mx.rank(q_spec, G) == ell:
+            try:
                 codes.append(LinearCode(q_spec, G))
+            except CodeError:  # not full row rank: draw again
+                pass
         fam = ErasureFamily(codes, Fraction(delta_col), Fraction(eps_fam))
         if verify_family(fam, budget=10 ** 8).passed:
             return fam, attempt + 1

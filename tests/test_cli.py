@@ -287,6 +287,24 @@ def test_montecarlo_budget_below_one_exit_code(command, flag, manifest, budget, 
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("mode,seed", [("exhaustive", ["--seed", "3"]), ("montecarlo", [])])
+@pytest.mark.parametrize("command,flag,manifest", [
+    ("verify-family", "--manifest", "fam_manifest"),
+    ("verify-graph", "--code", "bp_manifest"),
+    ("verify-graph", "--code", "sym_manifest"),
+])
+def test_verify_seed_is_not_ignored(command, flag, manifest, mode, seed, request, tmp_path,
+                                    capsys):
+    """Exhaustive mode draws nothing and Monte Carlo mode draws from --seed:
+    a seed given to the one or missing from the other is an input error."""
+    rep = tmp_path / "rep.json"
+    assert cli.main([command, flag, str(request.getfixturevalue(manifest)), "--mode", mode,
+                     *seed, "--out", str(rep)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize("case", ["family-empty", "graph-no-params", "bad-rows",
                                   "bad-cols"])
 def test_malformed_input_exit_code(case, bp_manifest, tmp_path, capsys):

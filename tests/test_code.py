@@ -3,13 +3,16 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from codefam import code as cd
+from codefam import ensemble as ens
 from codefam import matrix as mx
 from codefam.gf import make_field
 
 f2 = make_field(2, 1)
 f3 = make_field(3, 1)
+f4 = make_field(2, 2)
 f5 = make_field(5, 1)
 
 
@@ -101,6 +104,60 @@ def test_min_distance_too_large():
         cd.min_distance(big)
 
 
+def brute_force_distance(C):
+    """The least weight of the codewords of all q^k - 1 nonzero messages."""
+    msgs = np.array(list(product(range(C.spec.q), repeat=C.k))[1:], dtype=np.int64)
+    return int(np.count_nonzero(mx.matmul(C.spec, msgs, C.G), axis=1).min())
+
+
+@st.composite
+def codes(draw, fallback):
+    """A random [n, k] code; with `fallback`, one that q^k > 2^n sends to
+    min_distance's pattern scan once BRUTE_FORCE_BOUND is 2^n."""
+    spec = draw(st.sampled_from([f3, f4, f5] if fallback else [f2, f3, f4, f5]))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(next(k for k in range(1, n + 1) if spec.q ** k > 2 ** n)
+                         if fallback else 1, n))
+    G = draw(st.lists(st.integers(0, spec.q - 1), min_size=k * n, max_size=k * n))
+    try:
+        return cd.LinearCode(spec, np.array(G, dtype=np.int64).reshape(k, n))
+    except cd.CodeError:
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes(fallback=False))
+def test_min_distance_lines_match_brute_force(C):
+    assert cd.min_distance(C) == brute_force_distance(C)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes(fallback=True), st.sampled_from(["walk", "supports"]))
+def test_min_distance_scan_fallback_matches_brute_force(C, side):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cd, "BRUTE_FORCE_BOUND", 2 ** C.n)
+        mp.setattr(ens, "SUPPORT_SIDE_CELLS", -1 if side == "walk" else 1 << 62)
+        assert cd.min_distance(C) == brute_force_distance(C)
+        mp.setattr(cd, "BRUTE_FORCE_BOUND", 2 ** C.n - 1)
+        with pytest.raises(cd.TooLarge):
+            cd.min_distance(C)
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 5), (3, 3), (4, 3), (5, 2)])
+def test_lines_enumerate_each_line_once_in_order(q, k, rows):
+    """One message per line of F_q^k, its first nonzero entry 1: by the
+    position of that entry, then lexicographically."""
+    def lead(m):
+        return next(i for i, x in enumerate(m) if x)
+
+    want = sorted((m for m in product(range(q), repeat=k) if any(m) and m[lead(m)] == 1),
+                  key=lambda m: (lead(m), m))
+    chunks = list(cd._lines(q, k) if rows is None else cd._lines(q, k, rows))
+    assert all(0 < len(c) <= (rows or 1 << 16) and c.dtype == np.int64 for c in chunks)
+    assert np.concatenate(chunks).tolist() == [list(m) for m in want]
+
+
 def test_bundle_matches_base():
     base = cd.reed_solomon(f5, 2, 4)
     B = cd.InterleavedCode(base, 3)
@@ -174,6 +231,65 @@ def test_gv_search_known_instances():
     assert cd.min_distance(C) >= 3
     with pytest.raises(cd.Infeasible):
         cd.gv_search(f2, 3, 4)
+
+
+def gv_search_oracle(spec, n, d):
+    """gv_search as a span dict keyed by integer encodings, with one scalar
+    field operation per new codeword and both duplicate checks."""
+    def int_to_vec(v):
+        out = np.zeros(n, dtype=np.int64)
+        for i in range(n - 1, -1, -1):
+            out[i] = v % spec.q
+            v //= spec.q
+        return out
+
+    q = spec.q
+    if q ** n > cd.BRUTE_FORCE_BOUND * 16:
+        raise cd.TooLarge
+    if d > n:
+        raise cd.Infeasible
+    rows, span = [], {0: np.zeros(n, dtype=np.int64)}
+    for v in range(1, q ** n):
+        vec, ok, new = int_to_vec(v), True, {}
+        for w in span.values():
+            for c in range(1, q):
+                cand = spec.add(w, spec.mul(np.int64(c), vec))
+                key = int(np.dot(cand, q ** np.arange(n - 1, -1, -1)))
+                if key in span or key in new or np.count_nonzero(cand) < d:
+                    ok = False
+                    break
+                new[key] = cand
+            if not ok:
+                break
+        if ok:
+            rows.append(vec)
+            span.update(new)
+    if not rows:
+        raise cd.Infeasible
+    return np.stack(rows)
+
+
+@st.composite
+def gv_instances(draw):
+    spec = draw(st.sampled_from([f2, f3, f4, f5]))
+    n = draw(st.integers(1, {2: 6, 3: 4, 4: 3, 5: 3}[spec.q]))
+    return spec, n, draw(st.integers(0, n + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gv_instances())
+@example((f2, 4, 0))
+@example((f4, 3, 1))
+@example((f3, 3, 4))
+def test_gv_search_matches_span_dict_oracle(case):
+    spec, n, d = case
+    try:
+        want = gv_search_oracle(spec, n, d)
+    except cd.Infeasible:
+        with pytest.raises(cd.Infeasible):
+            cd.gv_search(spec, n, d)
+        return
+    assert np.array_equal(cd.gv_search(spec, n, d).G, want)
 
 
 def test_plotkin_rate_bound():
