@@ -4,7 +4,8 @@ F_q-linear block codes.
 A LinearCode is a full-row-rank generator matrix over a FieldSpec.
 Erasure correction is rank-characterized: a pattern S is correctable
 exactly when the generator with the columns in S removed still has full
-row rank, and decoding solves the linear system on the survivors.
+row rank, and decoding solves the linear system on the survivors (a
+Reed-Solomon code interpolates its survivors instead).
 
 Positions and erasure patterns are 0-based throughout the library.
 """
@@ -149,8 +150,67 @@ class LinearCode:
     def decode(self, received) -> np.ndarray:
         return erasure_decode(self, received)
 
+    def _solve(self, cols, vals, failure: str):
+        """The message whose codeword reads vals at positions cols (vals a
+        vector, or an array with one row of r values per position: r
+        codewords sharing their survivors); DecodingFailure(failure) when
+        the survivors do not pin down one message."""
+        return _solve_erasures(self.spec, self.G, cols, vals, failure)
+
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}] over GF({self.spec.p}^{self.spec.m}))"
+
+
+class ReedSolomonCode(LinearCode):
+    """A Reed-Solomon code that keeps its evaluation points: row i of G is
+    points^i, so a message is the coefficient vector (low to high) of the
+    polynomial of degree < k whose values at the points are its codeword,
+    and erasure decoding interpolates instead of eliminating.
+
+    `_solve` takes the first k survivors' Newton divided differences,
+    c_i = f[x_0, ..., x_i], and expands the Newton form
+    c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)) in place into monomial
+    coefficients; the word is consistent iff the other survivors' values
+    agree with Horner evaluation.  O(k^2) field operations per word on the
+    field's list tables (`FieldSpec._row_ops`) in place of an elimination of
+    G[:, survivors]^T (Gathen and Gerhard, Modern Computer Algebra, 5.2).
+    """
+
+    def __init__(self, spec: FieldSpec, k: int, points: list[int]):
+        G = np.zeros((k, len(points)), dtype=np.int64)
+        for j, x in enumerate(points):
+            for i in range(k):
+                G[i, j] = spec.pow(x, i)
+        super().__init__(spec, G)
+        self.points = points
+
+    def _solve(self, cols, vals, failure: str):
+        k = self.k
+        if len(cols) < k:
+            raise DecodingFailure(failure)
+        inverses, _, _, sub, mul = self.spec._row_ops
+        xs = [self.points[c] for c in cols]
+        matrix = isinstance(vals, np.ndarray) and vals.ndim == 2
+        columns = vals.T.tolist() if matrix else [[int(v) for v in vals]]
+        minus_x = [sub(0, x) for x in xs[k:]]
+        out = []
+        for ys in columns:
+            c = ys[:k]
+            for j in range(1, k):  # order j: c_i = (c_i - c_{i-1}) / (x_i - x_{i-j})
+                for i in range(k - 1, j - 1, -1):
+                    c[i] = mul(sub(c[i], c[i - 1]), inverses[sub(xs[i], xs[i - j])])
+            for j in range(k - 2, -1, -1):  # c_j + (x - x_j)(c_{j+1} + ...), from the inside out
+                x = xs[j]
+                for i in range(j, k - 1):
+                    c[i] = sub(c[i], mul(x, c[i + 1]))
+            for nx, y in zip(minus_x, ys[k:]):
+                v = 0
+                for a in reversed(c):
+                    v = sub(a, mul(nx, v))  # a + x*v
+                if v != y:
+                    raise DecodingFailure(failure)
+            out.append(c)
+        return np.array(out, dtype=np.int64).T.copy() if matrix else np.array(out[0], dtype=np.int64)
 
 
 def encode(C: LinearCode, msg) -> np.ndarray:
@@ -169,13 +229,15 @@ def erasure_decode(C: LinearCode, received):
     """Recover the message from a codeword with None marking erasures.
 
     Raises DecodingFailure when the surviving positions do not pin down a
-    unique message.
+    unique message, and CodeError for a received symbol outside [0, q).
     """
     if len(received) != C.n:
         raise LengthMismatch(f"received length {len(received)} != n={C.n}")
     surv = [i for i, v in enumerate(received) if v is not None]
-    return _solve_erasures(C.spec, C.G, surv, [int(received[i]) for i in surv],
-                           f"erasure pattern of size {C.n - len(surv)} uncorrectable")
+    vals = [int(received[i]) for i in surv]
+    if vals and (min(vals) < 0 or max(vals) >= C.spec.q):
+        raise CodeError(f"received symbols must lie in [0, {C.spec.q})")
+    return C._solve(surv, vals, f"erasure pattern of size {C.n - len(surv)} uncorrectable")
 
 
 def _solve_erasures(spec: FieldSpec, G: np.ndarray, cols, vals, failure: str):
@@ -229,7 +291,7 @@ def min_distance(C: LinearCode) -> int:
     raise TooLarge(f"q^k = {q}^{k} and 2^n both exceed the brute-force bound")
 
 
-def reed_solomon(spec: FieldSpec, k: int, n: int, points=None) -> LinearCode:
+def reed_solomon(spec: FieldSpec, k: int, n: int, points=None) -> ReedSolomonCode:
     """RS code: G[i, j] = points[j]^i (row i = coefficient of x^i).
 
     Default evaluation points are the first n field elements in canonical
@@ -246,11 +308,7 @@ def reed_solomon(spec: FieldSpec, k: int, n: int, points=None) -> LinearCode:
         raise DuplicatePoint("evaluation points must be distinct")
     if len(points) != n:
         raise LengthMismatch("need exactly n evaluation points")
-    G = np.zeros((k, n), dtype=np.int64)
-    for j, x in enumerate(points):
-        for i in range(k):
-            G[i, j] = spec.pow(x, i)
-    return LinearCode(spec, G)
+    return ReedSolomonCode(spec, k, points)
 
 
 def symbol_digit_map(outer_spec: FieldSpec, inner_spec: FieldSpec) -> int:
@@ -331,9 +389,8 @@ class InterleavedCode:
         """(n, ell) symbol digits of which those with known[b] survive -> message;
         the r codewords share their survivors, so one solve decodes them all."""
         surv = np.flatnonzero(known)
-        msg = _solve_erasures(self.spec, self.base.G, surv,
-                              self._digits_to_syms(digits)[surv],
-                              f"erasure pattern of size {self.n - len(surv)} uncorrectable")
+        msg = self.base._solve(surv, self._digits_to_syms(digits)[surv],
+                               f"erasure pattern of size {self.n - len(surv)} uncorrectable")
         return self._syms_to_digits(msg).reshape(-1)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import count, product
+from operator import xor
 
 import numpy as np
 
@@ -246,16 +247,19 @@ class FieldSpec:
 
     @cached_property
     def _row_ops(self):
-        """(inverses, scale, sub_mul) for rows held as Python lists of
-        encodings: inverses[a] is 1/a, scale(f, row) is f*row and
-        sub_mul(dst, f, src) is dst - f*src, each one list comprehension.
+        """(inverses, scale, sub_mul, sub, mul) for encodings held in Python
+        lists: inverses[a] is 1/a, scale(f, row) is f*row and
+        sub_mul(dst, f, src) is dst - f*src on rows, each one list
+        comprehension, and sub(a, b) = a - b and mul(a, b) = a*b on single
+        encodings read the same tables.
 
         Prime fields reduce mod p.  Extension fields look products up in the
         row MUL[f] of a full table, and add by xor (p = 2) or an add table,
         up to q = _ROW_TABLE_MAX_Q; above it products go through log/antilog
         lists and odd-p sums through Zech logarithms, 1 + g^n = g^zech[n].
         Private and built on first use, so a tracer that wraps the public
-        methods sees one span per elimination, not one per row.
+        methods sees one span per elimination or interpolation, not one per
+        row or element.
         """
         p, q = self.p, self.q
         if self.m == 1 and p != 2:
@@ -264,24 +268,38 @@ class FieldSpec:
 
             def sub_mul(dst, f, src):
                 return [(d - f * s) % p for d, s in zip(dst, src)]
+
+            def sub(a, b):
+                return (a - b) % p
+
+            def mul(a, b):
+                return a * b % p
         elif q <= _ROW_TABLE_MAX_Q:
             table = self._exp[self._log[:, None] + self._log]
             table[0] = table[:, 0] = 0
-            mul = table.tolist()
+            products = table.tolist()
 
             def scale(f, row):
-                t = mul[f]
+                t = products[f]
                 return [t[x] for x in row]
 
+            def mul(a, b):
+                return products[a][b]
+
             if p == 2:
+                sub = xor
+
                 def sub_mul(dst, f, src):
-                    t = mul[f]
+                    t = products[f]
                     return [d ^ t[s] for d, s in zip(dst, src)]
             else:
                 add, neg = self._add_table.tolist(), self._neg.tolist()
 
+                def sub(a, b):
+                    return add[a][neg[b]]
+
                 def sub_mul(dst, f, src):
-                    t = mul[neg[f]]
+                    t = products[neg[f]]
                     return [add[d][t[s]] for d, s in zip(dst, src)]
         else:
             log, exp = self._log.tolist(), self._exp.tolist()
@@ -290,7 +308,12 @@ class FieldSpec:
                 lf = log[f]
                 return [exp[lf + log[x]] if x else 0 for x in row]
 
+            def mul(a, b):
+                return exp[log[a] + log[b]] if a and b else 0
+
             if p == 2:
+                sub = xor
+
                 def sub_mul(dst, f, src):
                     lf = log[f]
                     return [d ^ exp[lf + log[s]] if s else d for d, s in zip(dst, src)]
@@ -305,10 +328,13 @@ class FieldSpec:
                     z = zech[(e - log[d]) % order]
                     return exp[log[d] + z] if z >= 0 else 0
 
+                def sub(a, b):
+                    return plus_power(a, log[neg[b]]) if b else a
+
                 def sub_mul(dst, f, src):
                     lf = log[neg[f]]
                     return [plus_power(d, lf + log[s]) if s else d for d, s in zip(dst, src)]
-        return self._inv.tolist(), scale, sub_mul
+        return self._inv.tolist(), scale, sub_mul, sub, mul
 
     # -- arithmetic ----------------------------------------------------
 

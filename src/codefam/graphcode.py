@@ -125,6 +125,8 @@ def _sample_column_family(q_spec: FieldSpec, N: int, ell: int, size: int,
                           delta_col, eps_fam, rng_seed: int):
     """Random [N, ell] family passing exhaustive verification; resamples up
     to SAMPLING_ATTEMPTS times."""
+    if ell > N:  # no ell x N generator has rank ell, so no draw would ever be kept
+        raise InfeasibleAtDeskScale(f"no [{N},{ell}] code exists: ell = {ell} exceeds N = {N}")
     rng = np.random.default_rng(rng_seed)
     for attempt in range(SAMPLING_ATTEMPTS):
         codes = []

@@ -108,7 +108,7 @@ def _extend_packed(basis: list, rows) -> bool:
 def _extend(spec: FieldSpec, basis: list, rows) -> bool:
     """`_extend_packed` over any field: rows are lists, and the basis
     holds (pivot column, row scaled to 1 there) pairs."""
-    inverses, scale, sub_mul = spec._row_ops
+    inverses, scale, sub_mul = spec._row_ops[:3]
     for row in rows:
         for c, piv in basis:
             if row[c]:
@@ -160,7 +160,7 @@ def _eliminate(spec: FieldSpec, a: np.ndarray):
 def _eliminate_rows(spec: FieldSpec, m: list) -> list[int]:
     """`_eliminate` on a list of row lists, in place, with the field's row
     kernel; returns the pivot columns."""
-    inverses, scale, sub_mul = spec._row_ops
+    inverses, scale, sub_mul = spec._row_ops[:3]
     nrows = len(m)
     pivots = []
     r = 0

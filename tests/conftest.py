@@ -1,6 +1,9 @@
 """Test-session setup shared by every test module."""
 
+import os
 import warnings
+
+from hypothesis import HealthCheck, settings
 
 # Where libcst is installed, hypothesis imports it (through
 # hypothesis.extra._patching) to report a failing test, and the import
@@ -16,3 +19,13 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # no libcst: hypothesis reports without it
         pass
+
+# Under CI (any value of $CI) property tests run hypothesis' fixed
+# derandomized examples and print a failure's reproduction blob, so a
+# failure seen only in CI reproduces locally with `CI=true pytest`.
+# Recent hypothesis versions load a built-in "ci" profile like this one by
+# themselves; registering it keeps these settings on every version.
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None,
+                          database=None, suppress_health_check=[HealthCheck.too_slow])
+if os.environ.get("CI"):
+    settings.load_profile("ci")

@@ -846,3 +846,21 @@ def test_check_source_huge_field_prime_exits_at_once(bridge_file, tmp_path):
                           "--free", "0,1"], capture_output=True, text=True, timeout=30, env=env)
     assert run.returncode == 4
     assert json.loads(run.stdout.splitlines()[-1])["error"] == "InputError"
+
+
+@pytest.mark.parametrize("flags", [["--kind", "bipartite", "--N", "1", "--ell", "2"],
+                                   ["--kind", "nearly-mds", "--N", "1", "--ell", "2"],
+                                   ["--kind", "nearly-mds", "--N", "2", "--ell", "4"]],
+                         ids=["bipartite-N1-ell2", "nearly-mds-N1-ell2", "nearly-mds-N2-ell4"])
+def test_build_graph_ell_above_N_exits_at_once(flags, tmp_path):
+    """No [N, ell] column code exists when ell > N: build-graph exits 3 and
+    writes nothing, instead of drawing ell x N generators forever."""
+    out = tmp_path / "man.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", "import sys; from codefam.cli import main; "
+                          "sys.exit(main(sys.argv[1:]))", "build-graph", *flags, "--q", "2",
+                          "--out", str(out)], capture_output=True, text=True, timeout=30, env=env)
+    assert run.returncode == 3
+    assert json.loads(run.stdout.splitlines()[-1])["error"] == "InfeasibleAtDeskScale"
+    assert not out.exists()

@@ -75,6 +75,80 @@ def test_erasure_decode_roundtrip_and_failure():
         cd.erasure_decode(C, cw)
 
 
+@pytest.mark.parametrize("spec,bad", [(make_field(13, 1), 16), (make_field(13, 1), -1),
+                                       (make_field(2, 4), 16), (make_field(3, 2), 9)],
+                         ids=["GF13-16", "GF13-neg", "GF16-16", "GF9-9"])
+def test_erasure_decode_rejects_symbols_outside_the_field(spec, bad):
+    """A received symbol outside [0, q) is an input error on both decode
+    paths (GF(13) returned a non-field message, GF(16) an IndexError)."""
+    C = cd.reed_solomon(spec, 2, 4)
+    for code in (C, cd.LinearCode(spec, C.G)):
+        with pytest.raises(cd.CodeError, match="received symbols"):
+            cd.erasure_decode(code, [bad, None, 1, None])
+
+
+# Reed-Solomon interpolation against elimination (`_solve_erasures`) on the
+# same generator, one field per arithmetic path of the row kernel: mod p,
+# q x q tables for p = 2 and for odd p (with the add table), and above 256
+# log/antilog lists for p = 2 and Zech logarithms for odd p.
+RS_FIELDS = [make_field(p, m) for p, m in [(5, 1), (13, 1), (2, 1), (2, 4), (2, 8), (3, 2),
+                                           (3, 3), (2, 10), (3, 6)]]
+
+
+@st.composite
+def rs_words(draw, spec):
+    """(code, survivors, r, words): an RS code over `spec` on random points,
+    fewer than, exactly or more than k survivors, and the n x r matrix of
+    r >= 1 codewords (r = 0: one codeword, read as a vector), one survivor
+    corrupted in some draws."""
+    n = draw(st.integers(1, min(spec.q, 12)))
+    k = draw(st.integers(1, n))
+    points = draw(st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n, unique=True))
+    C = cd.reed_solomon(spec, k, n, points=points)
+    s = {"fewer": draw(st.integers(0, k - 1)), "exactly": k,
+         "more": draw(st.integers(k, n))}[draw(st.sampled_from(["fewer", "exactly", "more"]))]
+    surv = sorted(draw(st.permutations(range(n)))[:s])
+    r = draw(st.integers(0, 3))
+    msgs = np.array(draw(st.lists(st.integers(0, spec.q - 1), min_size=max(r, 1) * k,
+                                  max_size=max(r, 1) * k)), dtype=np.int64).reshape(-1, k)
+    words = mx.matmul(spec, msgs, C.G).T
+    if surv and draw(st.booleans()):
+        i, t = draw(st.sampled_from(surv)), draw(st.integers(0, len(words[0]) - 1))
+        words[i, t] = spec.add(int(words[i, t]), draw(st.integers(1, spec.q - 1)))
+    return C, surv, r, words
+
+
+def outcome(fn):
+    """What a decode returns (values, shape and dtype) or its failure message."""
+    try:
+        x = fn()
+    except cd.DecodingFailure as exc:
+        return "DecodingFailure", str(exc)
+    return x.tolist(), x.shape, x.dtype
+
+
+@pytest.mark.parametrize("spec", RS_FIELDS, ids=lambda f: f"GF{f.p}^{f.m}")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rs_interpolation_matches_elimination(spec, data):
+    C, surv, r, words = data.draw(rs_words(spec))
+    plain = cd.LinearCode(spec, C.G)
+    assert type(C) is cd.ReedSolomonCode
+    vals = words[surv, 0].tolist() if r == 0 else words[surv]
+    failure = f"{len(surv)} survivors"
+    assert (outcome(lambda: C._solve(surv, vals, failure))
+            == outcome(lambda: cd._solve_erasures(spec, C.G, surv, vals, failure)))
+    if r == 0:
+        received = [int(v) if i in surv else None for i, v in enumerate(words[:, 0])]
+        assert (outcome(lambda: cd.erasure_decode(C, received))
+                == outcome(lambda: cd.erasure_decode(plain, received)))
+    else:
+        digits = spec.to_digits(words).reshape(C.n, r * spec.m)
+        known = [i in surv for i in range(C.n)]
+        assert (outcome(lambda: cd.InterleavedCode(C, r).decode_digits(digits, known))
+                == outcome(lambda: cd.InterleavedCode(plain, r).decode_digits(digits, known)))
+
+
 def test_rs_is_mds():
     for q_spec, n in [(f5, 5), (make_field(2, 3), 8)]:
         for k in range(1, n + 1):

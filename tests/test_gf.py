@@ -256,3 +256,18 @@ def test_field_pickles_after_its_row_kernel_is_built(p, m):
     g = pickle.loads(pickle.dumps(f))
     assert g == f and "_row_ops" not in vars(g)
     assert np.array_equal(mx.solve(g, a, b), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_row_kernel_scalar_ops_match_schoolbook(data):
+    """The row kernel's single-encoding sub and mul (Reed-Solomon
+    interpolation's arithmetic) on every table path: mod p, q x q tables,
+    log/antilog for p = 2 and Zech logarithms for odd p above 256."""
+    f = data.draw(st.sampled_from(FIELDS + [make_field(2, 10)]))
+    inverses, _, _, sub, mul = f._row_ops
+    a, b = (data.draw(st.integers(0, f.q - 1)) for _ in range(2))
+    assert sub(a, b) == oracle_add(f, a, b, -1)
+    assert mul(a, b) == oracle_mul(f, a, b)
+    if a:
+        assert oracle_mul(f, a, inverses[a]) == 1
