@@ -8,7 +8,8 @@ default of each graph construction parameter: `build-graph` passes every
 parameter of its kind to the builder and records it in the manifest.
 The top-level --workers flag is accepted and ignored.  Exit codes: 0 pass,
 2 verification or decoding failure, 3 infeasible parameters, 4 I/O,
-malformed input or a bad command line.
+malformed input (a fraction outside [0, 1], a manifest of unknown kind)
+or a bad command line.
 """
 
 from __future__ import annotations
@@ -57,7 +58,12 @@ class _Manifest(dict):
         raise InputError(f"manifest has no key {key!r}")
 
 
-_frac = ens.fraction_from_text  # flags and manifests read fractions alike
+def _frac(text) -> Fraction:
+    """A fraction flag's or manifest fraction's value: a fraction in [0, 1]."""
+    x = ens.fraction_from_text(text)
+    if not 0 <= x <= 1:
+        raise InputError(f"fraction {x} is not in [0, 1]")
+    return x
 
 
 def _count(text: str) -> int:
@@ -220,18 +226,23 @@ def _param(params: dict, name: str):
     return v
 
 
+def _known_kind(kind):
+    """`kind` if it is "family" or a GRAPH_KINDS key; else an input error."""
+    if kind != "family" and not (isinstance(kind, str) and kind in GRAPH_KINDS):
+        raise InputError(f"unknown manifest kind {kind!r}")
+    return kind
+
+
 def _rebuild(man: dict):
     kind, p = man["kind"], man["params"]
     if not isinstance(p, dict):
         raise InputError("manifest params are not a JSON object")
-    if kind == "family":
+    if _known_kind(kind) == "family":
         return fc.ShuffledFamilyParams(
             _parsed(cd.code_from_text, man["outer"]),
             _parsed(ens.family_from_manifest, man["inner"]),
             _parsed(sf.shuffler_from_text, man["shuffler"]),
             *(_parsed(_frac, p[n]) for n in ("delta", "eta", "epsilon")))
-    if not isinstance(kind, str) or kind not in GRAPH_KINDS:
-        raise InputError(f"unknown manifest kind {kind!r}")
     build, names, _, _ = GRAPH_KINDS[kind]
     return build(**{n: _param(p, n) for n in ["q", *names]})
 
@@ -487,7 +498,7 @@ def cmd_check_source(a) -> int:
 
 def cmd_report(a) -> int:
     man = _read_json(a.manifest)
-    kind = man.get("kind", "?")
+    kind = _known_kind(man.get("kind"))
     lines = [f"kind: {kind}"]  # printed once all are read, so an error prints alone
     if "rate" in man:
         lines.append(f"rate: {man['rate']} ({float(_parsed(_frac, man['rate'])):.4f})")

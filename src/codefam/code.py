@@ -285,8 +285,8 @@ def min_distance(C: LinearCode) -> int:
         return best
     if 2 ** n <= BRUTE_FORCE_BOUND:
         from codefam.ensemble import scan_patterns
-        _, witness, _, _ = scan_patterns([(n, 1, n)], [C.unit_code], budget=BRUTE_FORCE_BOUND,
-                                         stop_at_failure=True)
+        _, witness, _ = scan_patterns([(n, 1, n)], [C.unit_code], budget=BRUTE_FORCE_BOUND,
+                                      stop_at_failure=True)
         return len(witness)
     raise TooLarge(f"q^k = {q}^{k} and 2^n both exceed the brute-force bound")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, combinations, islice, product
@@ -22,8 +22,8 @@ from operator import or_
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import (CodeError, LinearCode, UnitCode, _lines, corrects_pattern,
-                          code_to_text, code_from_text)
+from codefam.code import (CodeError, InfeasibleAtDeskScale, LinearCode, UnitCode, _lines,
+                          corrects_pattern, code_to_text, code_from_text)
 from codefam.gf import FieldSpec
 
 
@@ -91,7 +91,6 @@ class VerifyReport:
     mode: str
     rng_seed: int | None = None
     passed: bool = False
-    notes: dict = field(default_factory=dict)
 
 
 def split_pattern(pat, axes) -> list[list[int]]:
@@ -118,9 +117,8 @@ def _blocks(axes) -> tuple[list, int]:
     return blocks, total
 
 
-def _walk(code: UnitCode, blocks, stop: bool) -> list[tuple[int, int, bool]]:
-    """The index ranges [start, end) of the patterns `code` cannot correct,
-    each flagged when a prefix shorter than its patterns failed it.
+def _walk(code: UnitCode, blocks, stop: bool) -> list[tuple[int, int]]:
+    """The index ranges [start, end) of the patterns `code` cannot correct.
 
     Depth first, in scan order, with an echelon basis of the parity-check
     columns of the cells erased so far: a unit adds the columns of its new
@@ -137,7 +135,7 @@ def _walk(code: UnitCode, blocks, stop: bool) -> list[tuple[int, int, bool]]:
     cells = [[c for c in range(len(cols)) if unit >> c & 1] for unit in units]
     unit_cols = [[cols[c] for c in cs] for cs in cells]
     basis: list = []
-    fails: list[tuple[int, int, bool]] = []
+    fails: list[tuple[int, int]] = []
     index = 0
 
     def visit(slots, j, lo, erased) -> bool:
@@ -153,7 +151,7 @@ def _walk(code: UnitCode, blocks, stop: bool) -> list[tuple[int, int, bool]]:
             mark = len(basis)
             if not extend(basis, rows):
                 size = math.comb(n - v - 1, left) * tail
-                fails.append((index, index + size, not last))
+                fails.append((index, index + size))
                 index += size
                 if stop:
                     return True
@@ -336,8 +334,7 @@ def _support_scan(axes, codes: list[UnitCode], blocks, total: int, stop: bool):
 def scan_patterns(axes, codes: list[UnitCode], mode: str = "exhaustive",
                   budget: int = 10 ** 7, rng_seed: int | None = None, *,
                   stop_at_failure: bool = False):
-    """(worst fail fraction, smallest pattern reaching it, patterns tested,
-    notes).
+    """(worst fail fraction, smallest pattern reaching it, patterns tested).
 
     Each axis (n, lo, hi) is one kind of erasure unit; a pattern erases lo
     to hi of its n units, numbered after those of the earlier axes, and is
@@ -349,36 +346,37 @@ def scan_patterns(axes, codes: list[UnitCode], mode: str = "exhaustive",
     the largest sizes.  stop_at_failure ends the scan at the first failing
     pattern.
 
+    EnsembleError when the exhaustive axes admit no pattern, or when a
+    Monte Carlo axis erases more units than it has.
+
     Two sides give the same answers.  When every code qualifies
     (`_on_supports`: at most 64 cells and few codeword lines), each
     pattern's kept cells are tested against the codes' light codeword
     supports (`_support_counter`).  Otherwise exhaustive mode walks
     each code on the dual side (`_walk`) and Monte Carlo mode checks each
-    draw with `UnitCode.corrects`.  The notes count pruning on walked
-    codes only: the prefixes whose completions the walks failed in bulk
-    and, summed over codes, those completions among the patterns tested.
+    draw with `UnitCode.corrects`.
     """
     supported = all(map(_on_supports, codes))
     if mode == "exhaustive":
         blocks, total = _blocks(axes)
+        if not total:
+            raise EnsembleError(f"the axes {axes} admit no pattern")
         count = total * len(codes)
         if count > budget:
             raise BudgetExceeded(f"{count} rank checks exceed budget {budget}")
         if supported:
-            return *_support_scan(axes, codes, blocks, total, stop_at_failure), {
-                "prefixes_pruned": 0, "patterns_pruned": 0}
+            return _support_scan(axes, codes, blocks, total, stop_at_failure)
         walks = [_walk(c, blocks, stop_at_failure) for c in codes]
-        worst, witness, tested = _worst(blocks, total, walks, len(codes), stop_at_failure)
-        cuts = [(a, b) for w in walks for a, b, cut in w if cut and a < tested]
-        return worst, witness, tested, {
-            "prefixes_pruned": len(cuts),
-            "patterns_pruned": sum(min(b, tested) - a for a, b in cuts)}
+        return _worst(blocks, total, walks, len(codes), stop_at_failure)
     if mode != "montecarlo":
         raise EnsembleError(f"unknown mode {mode!r}")
     if rng_seed is None:
         raise EnsembleError("montecarlo mode requires rng_seed")
     if budget < 1:
         raise BudgetExceeded(f"montecarlo budget {budget} draws no pattern")
+    for n, _, hi in axes:
+        if hi > n:
+            raise EnsembleError(f"an axis erases up to {hi} of its {n} units")
     if supported:
         counts, units = _support_counter(codes, axes), codes[0].units
 
@@ -409,8 +407,7 @@ def scan_patterns(axes, codes: list[UnitCode], mode: str = "exhaustive",
             worst, witness = fails, pat
         if stop_at_failure and fails:
             break
-    return (Fraction(worst, len(codes)), witness, tested,
-            {"prefixes_pruned": 0, "patterns_pruned": 0})
+    return Fraction(worst, len(codes)), witness, tested
 
 
 def _worst(blocks, total: int, walks, ncodes: int, stop: bool):
@@ -422,7 +419,7 @@ def _worst(blocks, total: int, walks, ncodes: int, stop: bool):
             return Fraction(0), (), total
         first = min(firsts)
         return Fraction(firsts.count(first), ncodes), _pattern_at(blocks, first), first + 1
-    events = sorted(e for w in walks for a, b, _ in w for e in ((a, 1), (b, -1)))
+    events = sorted(e for w in walks for a, b in w for e in ((a, 1), (b, -1)))
     if not events:
         return Fraction(0), (), total
     # sweep the range ends in order: between two of them the fail count is
@@ -449,10 +446,10 @@ def _worst(blocks, total: int, walks, ncodes: int, stop: bool):
 def verify_units(code: UnitCode, axes, mode: str = "exhaustive",
                  budget: int = 10 ** 5, rng_seed: int | None = None) -> VerifyReport:
     """The first pattern of the axes that `code` cannot correct, if any."""
-    worst, witness, tested, notes = scan_patterns(
+    worst, witness, tested = scan_patterns(
         axes, [code], mode, budget, rng_seed, stop_at_failure=True)
     return VerifyReport(worst, witness if worst else (), tested, mode, rng_seed,
-                        passed=not worst, notes=notes)
+                        passed=not worst)
 
 
 def failure_fraction(F: ErasureFamily, pat) -> Fraction:
@@ -476,11 +473,10 @@ def verify_family(F: ErasureFamily, mode: str = "exhaustive",
     the worst per-pattern failing fraction is <= epsilon.  The members are
     scanned by `scan_patterns`: on the support side when every member's
     codeword lines are few (as at the existence-bound sizes), else walked
-    or checked per draw.  `notes` counts the walks' pruning, so it reads 0
-    on the support side and in Monte Carlo mode.
+    or checked per draw.
     """
     s = max_pattern_size(F)
-    worst, witness, tested, notes = scan_patterns(
+    worst, witness, tested = scan_patterns(
         [(F.n, s, s)], [c.unit_code for c in F.codes], mode, budget, rng_seed)
     return VerifyReport(
         worst_fail_fraction=worst,
@@ -489,7 +485,6 @@ def verify_family(F: ErasureFamily, mode: str = "exhaustive",
         mode=mode,
         rng_seed=rng_seed if mode == "montecarlo" else None,
         passed=worst <= F.epsilon,
-        notes=notes,
     )
 
 
@@ -546,7 +541,15 @@ def sample_random_family(spec: FieldSpec, n: int, delta, eta, epsilon,
     k = math.floor((1 - delta - eta) * n)
     if k < 1:
         raise RateNonpositive(f"rate (1 - {delta} - {eta}) gives k = {k}")
-    rng = np.random.default_rng(rng_seed)
+    return ErasureFamily(_random_codes(spec, k, n, t, np.random.default_rng(rng_seed)),
+                         delta, epsilon)
+
+
+def _random_codes(spec: FieldSpec, k: int, n: int, t: int, rng) -> list[LinearCode]:
+    """t codes whose k x n generators `rng` draws uniformly, drawing again
+    each one that is not full rank; InfeasibleAtDeskScale when k > n."""
+    if k > n:  # no k x n generator has rank k, so no draw would ever be kept
+        raise InfeasibleAtDeskScale(f"no [{n},{k}] code exists: ell = {k} exceeds N = {n}")
     codes = []
     while len(codes) < t:
         G = rng.integers(0, spec.q, size=(k, n), dtype=np.int64)
@@ -554,7 +557,7 @@ def sample_random_family(spec: FieldSpec, n: int, delta, eta, epsilon,
             codes.append(LinearCode(spec, G))
         except CodeError:  # not full row rank: draw again
             pass
-    return ErasureFamily(codes, delta, epsilon)
+    return codes
 
 
 def _rref_generators(spec: FieldSpec, k: int, L: int) -> np.ndarray:

@@ -35,9 +35,9 @@ from fractions import Fraction
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import (CodeError, ConcatenatedCode, GridCode, InterleavedCode, LinearCode,
-                          InfeasibleAtDeskScale, UnitCode, grid_units, reed_solomon)
-from codefam.ensemble import ErasureFamily, verify_family
+from codefam.code import (ConcatenatedCode, GridCode, InterleavedCode, InfeasibleAtDeskScale,
+                          UnitCode, grid_units, reed_solomon)
+from codefam.ensemble import ErasureFamily, _random_codes, verify_family
 from codefam.gf import FieldSpec, _prime_power, make_field
 from codefam.shuffler import make_seeded_random
 
@@ -58,10 +58,8 @@ class RowCodeRS(InterleavedCode):
         row_spec = make_field(q_spec.p, ell0)
         if row_spec.q < M:
             raise GraphCodeError(f"row alphabet q^{ell0} < M = {M}")
-        self.row_spec = row_spec
         super().__init__(reed_solomon(row_spec, k_row, M), r)
         self.M = M
-        self.k_row = k_row
 
     def decode_syms(self, syms: list) -> np.ndarray:
         """syms[i] is a length-ell digit vector or None; returns the message.
@@ -125,18 +123,10 @@ def _sample_column_family(q_spec: FieldSpec, N: int, ell: int, size: int,
                           delta_col, eps_fam, rng_seed: int):
     """Random [N, ell] family passing exhaustive verification; resamples up
     to SAMPLING_ATTEMPTS times."""
-    if ell > N:  # no ell x N generator has rank ell, so no draw would ever be kept
-        raise InfeasibleAtDeskScale(f"no [{N},{ell}] code exists: ell = {ell} exceeds N = {N}")
     rng = np.random.default_rng(rng_seed)
     for attempt in range(SAMPLING_ATTEMPTS):
-        codes = []
-        while len(codes) < size:
-            G = rng.integers(0, q_spec.q, size=(ell, N), dtype=np.int64)
-            try:
-                codes.append(LinearCode(q_spec, G))
-            except CodeError:  # not full row rank: draw again
-                pass
-        fam = ErasureFamily(codes, Fraction(delta_col), Fraction(eps_fam))
+        fam = ErasureFamily(_random_codes(q_spec, ell, N, size, rng),
+                            Fraction(delta_col), Fraction(eps_fam))
         if verify_family(fam, budget=10 ** 8).passed:
             return fam, attempt + 1
     raise InfeasibleAtDeskScale(
@@ -222,7 +212,6 @@ class NearlyMDSCode(_ColumnSymbols):
     def __init__(self, inner: BipartiteGraphCode, M_rows: int, N: int, delta, eta):
         super().__init__(inner.core, (M_rows, N), ("cols",))
         self.inner = inner
-        self.M_rows = M_rows
         self.N = N
         self.delta = Fraction(delta)
         self.eta = Fraction(eta)
@@ -263,7 +252,6 @@ class ImprovedNearlyMDSCode(_ColumnSymbols):
         self.N = N
         self.delta = Fraction(delta)
         self.eta = Fraction(eta)
-        self.M_b = M_b
         self.D = D
         if N % M_b != 0:
             raise GraphCodeError("block count must divide N")
@@ -275,11 +263,9 @@ class ImprovedNearlyMDSCode(_ColumnSymbols):
         self.inner_spec = make_field(q_spec.p, e)
         if self.inner_spec.q < self.L2:
             raise GraphCodeError(f"q' = {self.inner_spec.q} < block length {self.L2}")
-        self.k_inner = k_inner
         self.inner = reed_solomon(self.inner_spec, k_inner, self.L2)
         self.ell = k_inner * e                      # q-ary digits per block message
         self.outer_spec = make_field(q_spec.p, self.ell)
-        self.k_out = k_out
         self.outer = reed_solomon(self.outer_spec, k_out, M_b * D)
         self.sh = make_seeded_random(N, M_b, D, rng_seed)
         self.k_total = k_out * self.ell

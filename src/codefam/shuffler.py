@@ -14,7 +14,7 @@ Positions, seeds, and blocks are all 0-based.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -66,14 +66,9 @@ class Shuffler:
 
 @dataclass
 class BalanceCertificate:
-    eps1: Fraction
-    eps2: Fraction
-    eps3: Fraction
-    set_size: int
     seed_pass: list[bool]
     violations_per_seed: list[int]
     overall_pass: bool = False
-    notes: dict = field(default_factory=dict)
 
 
 def check_balance(sh: Shuffler, S, eps1, eps2, eps3) -> BalanceCertificate:
@@ -102,7 +97,7 @@ def check_balance(sh: Shuffler, S, eps1, eps2, eps3) -> BalanceCertificate:
         seed_pass.append(Fraction(bad) <= eps2 * sh.M)
     failing = sum(1 for p in seed_pass if not p)
     overall = Fraction(failing) <= eps1 * sh.D
-    return BalanceCertificate(eps1, eps2, eps3, len(S), seed_pass, violations, overall)
+    return BalanceCertificate(seed_pass, violations, overall)
 
 
 def check_size_balance(sh: Shuffler, eps1, eps2, eps3) -> BalanceCertificate:

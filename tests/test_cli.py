@@ -677,7 +677,46 @@ def test_default_graph_manifest_and_codeword_pinned(kind, tmp_path, capsys):
     assert tuple(digest) == pins
 
 
-BUILDERS = {"bipartite": gc.build_bipartite, "nearly-mds": gc.build_nearly_mds,
+def _stdout_pin(argv, capsys) -> tuple[int, str]:
+    """(exit code, sha256 prefix of stdout) of one command."""
+    capsys.readouterr()
+    rc = cli.main(argv)
+    return rc, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+
+
+# sha256 prefixes, as in GRAPH_PINS, of report's stdout on each fixture manifest
+REPORT_PINS = {"family": "1cf3430512990f33", "bipartite": "21eabaee0b6ddcb0",
+               "nearly-mds": "e374432bcdf86177", "nearly-mds-improved": "cc8790aac917ea8a",
+               "symmetric": "2342b76400508a0a"}
+
+
+@pytest.mark.parametrize("kind", sorted(REPORT_PINS))
+def test_report_pinned(kind, request, capsys):
+    fixture = "fam_manifest" if kind == "family" else GRAPH_FIXTURES[kind][0]
+    manifest = str(request.getfixturevalue(fixture))
+    assert _stdout_pin(["report", "--manifest", manifest], capsys) == (0, REPORT_PINS[kind])
+
+
+# (kind, --delta or None for the manifest's) -> (exit code, sha256 prefix of
+# verify-graph's report on stdout)
+VERIFY_GRAPH_PINS = {("bipartite", None): (0, "ca906c30f4fb0180"),
+                     ("nearly-mds", None): (0, "ea02795ab011629c"),
+                     ("nearly-mds", "1/2"): (2, "e92005e32b66dd8f"),
+                     ("nearly-mds-improved", None): (0, "ea02795ab011629c"),
+                     ("nearly-mds-improved", "1/2"): (2, "e92005e32b66dd8f"),
+                     ("symmetric", None): (0, "48f9b36ab316d4cc"),
+                     ("symmetric", "1/2"): (2, "3c28eaa2cd595df4")}
+
+
+@pytest.mark.parametrize("kind,delta", sorted(VERIFY_GRAPH_PINS, key=str))
+def test_verify_graph_report_pinned(kind, delta, request, capsys):
+    manifest = str(request.getfixturevalue(GRAPH_FIXTURES[kind][0]))
+    flags = [] if delta is None else ["--delta", delta]
+    assert (_stdout_pin(["verify-graph", "--code", manifest, *flags], capsys)
+            == VERIFY_GRAPH_PINS[kind, delta])
+
+
+BUILDERS ={"bipartite": gc.build_bipartite, "nearly-mds": gc.build_nearly_mds,
             "nearly-mds-improved": gc.build_nearly_mds_improved,
             "symmetric": sym.build_symmetric}
 
@@ -752,6 +791,9 @@ MANIFEST_EDITS = {
                        lambda m: m["params"].update(delta_row="a quarter")),
     "rng_seed-bool": ("bp_manifest", "verify-graph", lambda m: m["params"].update(rng_seed=True)),
     "symmetric-delta-float": ("sym_manifest", "verify-graph", lambda m: m.update(delta=0.0625)),
+    "eta-negative": ("bp_manifest", "verify-graph", lambda m: m["params"].update(eta="-1")),
+    "delta_col-above-one": ("bp_manifest", "verify-graph",
+                            lambda m: m["params"].update(delta_col="5/4")),
     "member-field-token": ("fam_manifest", "verify-family",
                            lambda m: _set_member(m, "field 2 x")),
     "member-non-monic": ("fam_manifest", "verify-family",
@@ -764,6 +806,8 @@ MANIFEST_EDITS = {
     "shuffler-token": ("fam_manifest", "encode",
                        lambda m: m.update(shuffler="16 8 4 seeded_random x")),
     "params-delta-float": ("fam_manifest", "encode", lambda m: m["params"].update(delta=0.125)),
+    "params-epsilon-above-one": ("fam_manifest", "encode",
+                                 lambda m: m["params"].update(epsilon="3/2")),
     "report-rate-float": ("bp_manifest", "report", lambda m: m.update(rate=0.125)),
     "report-delta-float": ("fam_manifest", "report", lambda m: m["params"].update(delta=0.125)),
 }
@@ -773,8 +817,8 @@ MANIFEST_EDITS = {
 def test_malformed_manifest_field_exit_code(case, request, tmp_path, capsys):
     """An unknown kind, a parameter not of its build-graph flag's type (an
     integer that is a float, string or bool; a fraction not written as a
-    string, which report checks too), or a code or shuffler text that does
-    not parse exits 4."""
+    string, which report checks too), a fraction outside [0, 1], or a code
+    or shuffler text that does not parse exits 4."""
     fixture, command, edit = MANIFEST_EDITS[case]
     man = json.loads(request.getfixturevalue(fixture).read_text())
     edit(man)
@@ -790,6 +834,66 @@ def test_malformed_manifest_field_exit_code(case, request, tmp_path, capsys):
     assert cli.main(argv) == 4
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+
+
+@pytest.mark.parametrize("kind", ["family2", None])
+def test_report_unknown_kind_exit_code(kind, fam_manifest, tmp_path, capsys):
+    """report reads the kind as the other commands do: an unknown or
+    missing kind exits 4 and prints the error alone."""
+    man = json.loads(fam_manifest.read_text())
+    del man["kind"]
+    if kind is not None:
+        man["kind"] = kind
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(man))
+    capsys.readouterr()
+    assert cli.main(["report", "--manifest", str(bad)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "InputError", "detail": f"unknown manifest kind {kind!r}"}]
+
+
+# case -> (manifest fixture or None, command line with "{}" for its path):
+# each gives a fraction flag a value outside [0, 1]
+FRACTION_FLAGS = {
+    "verify-graph-delta-2": ("nm_manifest", ["verify-graph", "--code", "{}", "--delta", "2"]),
+    "verify-graph-delta-13/12": ("nm_manifest",
+                                 ["verify-graph", "--code", "{}", "--delta", "13/12"]),
+    "verify-graph-montecarlo-delta-2": (
+        "nm_manifest", ["verify-graph", "--code", "{}", "--delta", "2",
+                        "--mode", "montecarlo", "--seed", "1"]),
+    "verify-graph-montecarlo-delta-13/12": (
+        "nm_manifest", ["verify-graph", "--code", "{}", "--delta", "13/12",
+                        "--mode", "montecarlo", "--seed", "1"]),
+    "verify-graph-delta-negative": ("nm_manifest",
+                                    ["verify-graph", "--code", "{}", "--delta=-1/4"]),
+    "build-graph-bipartite-drow-negative": (
+        None, ["build-graph", "--kind", "bipartite", "--q", "2", "--drow=-1"]),
+    "build-graph-bipartite-eta-negative": (
+        None, ["build-graph", "--kind", "bipartite", "--q", "2", "--eta=-1"]),
+    "build-graph-symmetric-eta-negative": (
+        None, ["build-graph", "--kind", "symmetric", "--q", "2", "--eta=-1"]),
+    "check-source-epsilon-2": ("bridge_file", ["check-source", "--bridge", "{}",
+                                               "--free", "0,4", "--epsilon", "2"]),
+    **{f"build-family-{flag[2:]}-{name}": (None, FAMILY_ARGS + [f"{flag}={value}"])
+       for flag in ("--delta", "--eta", "--epsilon")
+       for name, value in (("negative", "-1/8"), ("above-one", "9/8"))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRACTION_FLAGS))
+def test_fraction_flag_outside_unit_interval_exit_code(case, request, tmp_path, capsys):
+    """Every fraction flag reads a value in [0, 1]: a value outside exits
+    4 and writes nothing."""
+    fixture, argv = FRACTION_FLAGS[case]
+    path = fixture and str(request.getfixturevalue(fixture))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert cli.main([path if a == "{}" else a for a in argv] + ["--out", str(out)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+    assert json.loads(lines[0])["detail"].endswith("is not in [0, 1]")
+    assert not out.exists()
 
 
 def _drop_row(man):

@@ -139,6 +139,17 @@ def test_sample_random_family_shape_and_determinism():
                                  Fraction(1, 4), 2, rng_seed=0)
 
 
+def test_sample_random_family_k_above_n_raises_before_drawing(monkeypatch):
+    """delta = -1 gives k = 8 > n = 4: no 8 x 4 generator has rank 8, so
+    the draw loop refuses before its first draw instead of drawing forever."""
+    class NoDraws:
+        def integers(self, *args, **kwargs):
+            raise AssertionError("drew a generator")
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+    with pytest.raises(cd.InfeasibleAtDeskScale, match="no \\[4,8\\] code exists"):
+        ens.sample_random_family(f2, 4, -1, 0, "1/4", 2, 0)
+
+
 def test_rref_generators_count():
     # number of 1-dim subspaces of F_2^3 is 7; of 2-dim subspaces also 7
     assert len(ens._rref_generators(f2, 1, 3)) == 7

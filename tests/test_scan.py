@@ -88,23 +88,6 @@ def side(name, chunk_cells=None):
         yield
 
 
-def pruning_oracle(axes, codes):
-    """The notes of a full scan: per code and size combination, the minimal
-    uncorrectable prefixes shorter than their patterns, and the patterns
-    that have one."""
-    starts = list(accumulate((n for n, _, _ in axes), initial=0))
-    prefixes, patterns = set(), 0
-    for i, c in enumerate(codes):
-        for pat in scan_order(axes):
-            cut = next((j for j in range(1, len(pat)) if not c.corrects(pat[:j])), None)
-            if cut is not None:
-                patterns += 1
-                sizes = tuple(sum(1 for u in pat if s <= u < s + n)
-                              for (n, _, _), s in zip(axes, starts))
-                prefixes.add((i, sizes, pat[:cut]))
-    return {"prefixes_pruned": len(prefixes), "patterns_pruned": patterns}
-
-
 def matrices(spec, rows, cols):
     return st.lists(st.integers(0, spec.q - 1), min_size=rows * cols,
                     max_size=rows * cols).map(
@@ -146,14 +129,11 @@ def scans(draw):
 @settings(max_examples=300, deadline=None)
 @given(scans(), st.booleans())
 def test_scan_matches_primal_oracle(scan, stop):
-    """The walk side, and the pruning its notes count."""
+    """The walk side."""
     axes, codes = scan
     with side("walk"):
-        worst, witness, tested, notes = ens.scan_patterns(axes, codes, stop_at_failure=stop)
-    assert (worst, witness, tested) == primal_scan(axes, codes, stop)
-    assert notes["patterns_pruned"] <= tested * len(codes)
-    if not stop:
-        assert notes == pruning_oracle(axes, codes)
+        got = ens.scan_patterns(axes, codes, stop_at_failure=stop)
+    assert got == primal_scan(axes, codes, stop)
 
 
 def gf3_family():
@@ -174,15 +154,14 @@ def test_support_side_matches_primal_oracle(scan, stop, chunk_cells, seed):
     axes, codes = scan
     with side("supports", chunk_cells):
         got = ens.scan_patterns(axes, codes, stop_at_failure=stop)
-    assert got[:3] == primal_scan(axes, codes, stop)
-    assert got[3] == {"prefixes_pruned": 0, "patterns_pruned": 0}
+    assert got == primal_scan(axes, codes, stop)
     # Monte Carlo draws need hi <= n on every axis
     axes = [(n, min(lo, n), min(hi, n)) for n, lo, hi in axes]
     want = montecarlo_oracle(axes, codes, 40, seed, stop)
     for name in ("supports", "walk"):
         with side(name, chunk_cells):
             got = ens.scan_patterns(axes, codes, "montecarlo", 40, seed, stop_at_failure=stop)
-        assert got[:3] == want
+        assert got == want
 
 
 def test_full_rank_square_code_fails_every_nonempty_pattern():
@@ -190,8 +169,8 @@ def test_full_rank_square_code_fails_every_nonempty_pattern():
     for spec in FIELDS:
         C = cd.UnitCode(spec, mx.identity(4), [1 << i for i in range(4)])
         assert C.H.shape == (0, 4)
-        assert ens.scan_patterns([(4, 0, 2)], [C])[:3] == (1, (0,), 11)
-        assert ens.scan_patterns([(4, 0, 2)], [C], stop_at_failure=True)[:3] == (1, (0,), 2)
+        assert ens.scan_patterns([(4, 0, 2)], [C]) == (1, (0,), 11)
+        assert ens.scan_patterns([(4, 0, 2)], [C], stop_at_failure=True) == (1, (0,), 2)
 
 
 def test_rank_other_than_dim_is_rejected():
@@ -223,21 +202,6 @@ def test_exhaustive_scan_makes_no_primal_rank_checks(monkeypatch):
         ens.verify_family(F, mode="montecarlo", budget=5, rng_seed=1)
 
 
-@side("walk")
-def test_notes_count_pruning_deterministically():
-    reps = [ens.verify_family(ens.sample_random_family(f2, 12, QUARTER, QUARTER, QUARTER,
-                                                       8, rng_seed=5))
-            for _ in range(2)]
-    assert reps[0].notes == reps[1].notes
-    notes = reps[0].notes
-    assert 0 < notes["prefixes_pruned"] <= notes["patterns_pruned"]
-    assert notes["patterns_pruned"] <= reps[0].patterns_tested * 8
-    mc = ens.verify_family(ens.sample_random_family(f2, 12, QUARTER, QUARTER, QUARTER,
-                                                    8, rng_seed=5),
-                           mode="montecarlo", budget=20, rng_seed=1)
-    assert mc.notes == {"prefixes_pruned": 0, "patterns_pruned": 0}
-
-
 def test_budget_counts_one_check_per_pattern_and_code():
     C = cd.LinearCode(f2, [[1, 0, 1, 1], [0, 1, 1, 0]]).unit_code
     axes = [(4, 2, 2)]
@@ -252,3 +216,20 @@ def test_montecarlo_budget_below_one_draws_nothing_and_raises(budget):
     with pytest.raises(ens.BudgetExceeded):
         ens.scan_patterns([(4, 2, 2)], [C], mode="montecarlo", budget=budget, rng_seed=1)
     assert ens.scan_patterns([(4, 2, 2)], [C], mode="montecarlo", budget=1, rng_seed=1)[2] == 1
+
+
+@pytest.mark.parametrize("axes,mode,match", [
+    ([(12, 13, 13)], "exhaustive", "admit no pattern"),
+    ([(12, 7, 6)], "exhaustive", "admit no pattern"),
+    ([(12, 13, 13)], "montecarlo", "erases up to 13 of its 12 units"),
+    ([(8, 0, 3), (4, 0, 5)], "montecarlo", "erases up to 5 of its 4 units"),
+], ids=["exhaustive-sizes-above-n", "exhaustive-lo-above-hi", "montecarlo-hi-above-n",
+        "montecarlo-second-axis-hi-above-n"])
+def test_scan_of_no_pattern_raises(axes, mode, match):
+    """A scan that could test no pattern certifies nothing: exhaustive axes
+    with no pattern, or a Monte Carlo axis that erases more units than it
+    has (axes where only some sizes have patterns stay legal)."""
+    C = cd.reed_solomon(make_field(13, 1), 6, 12).unit_code
+    seed = 1 if mode == "montecarlo" else None
+    with pytest.raises(ens.EnsembleError, match=match):
+        ens.scan_patterns(axes, [C], mode, 5, seed)
