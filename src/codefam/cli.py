@@ -582,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-source")
     p.add_argument("--bridge", required=True)
     p.add_argument("--free", default="")
-    p.add_argument("--epsilon", type=_frac, default=Fraction(1))
+    p.add_argument("--epsilon", type=_frac, required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("report")

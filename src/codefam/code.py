@@ -5,7 +5,11 @@ A LinearCode is a full-row-rank generator matrix over a FieldSpec.
 Erasure correction is rank-characterized: a pattern S is correctable
 exactly when the generator with the columns in S removed still has full
 row rank, and decoding solves the linear system on the survivors (a
-Reed-Solomon code interpolates its survivors instead).
+Reed-Solomon code interpolates its survivors instead).  Over GF(q), q > 2,
+that rank is read off the generator's reduced row echelon form R, kept
+once per code: rank G[:, S] = rank(G) - |P - S| + rank R[rows of P - S,
+S - P] for R's pivot columns P (an information set), so a check eliminates
+only the rows whose pivots S erases.
 
 Positions and erasure patterns are 0-based throughout the library.
 """
@@ -69,6 +73,17 @@ class UnitCode:
     symbol, a vertex.  A set of erased units is correctable iff G
     restricted to the surviving cells keeps rank `dim` (default: the row
     count of G).
+
+    Over GF(2) the check ANDs the packed rows with the survivors and ranks
+    the result.  Over any other field it reads the reduced row echelon
+    form R of G, built once: row operations keep the rank of every column
+    subset, and R's surviving pivot columns are unit vectors, so for the
+    erased cells E, the pivot cells P and the survivors S,
+
+        rank G[:, S] = rank(G) - |E & P| + rank R[rows of E & P, S - P]
+
+    (P is an information set; Prange, 1962).  Only the rows whose pivots
+    were erased are eliminated, and the answer is still an exact rank.
     """
 
     def __init__(self, spec: FieldSpec, G: np.ndarray, units: list[int],
@@ -96,7 +111,20 @@ class UnitCode:
         H.flags.writeable = False
         return H
 
+    @cached_property
+    def _echelon(self) -> tuple[list[list[int]], list[int], list[int]]:
+        """The reduced row echelon form R of G, once: its rank(G) nonzero
+        rows restricted to the free (non-pivot) cells, its pivot cells and
+        the free cells."""
+        ech, pivots = mx._eliminate(self.spec, self.G)
+        R = mx._reduce(self.spec, ech, pivots)[:len(pivots)]
+        R = R.tolist() if isinstance(R, np.ndarray) else R
+        piv = set(pivots)
+        free = [c for c in range(self.G.shape[1]) if c not in piv]
+        return [[row[c] for c in free] for row in R], pivots, free
+
     def corrects(self, erased) -> bool:
+        """Whether G keeps rank `dim` on the cells the erased units leave."""
         mask = 0
         for u in erased:
             if not 0 <= u < len(self.units):
@@ -108,8 +136,13 @@ class UnitCode:
         if self.spec.q == 2:
             keep = ~mask
             return mx.rank_packed([r & keep for r in self._packed]) == self.dim
-        surv = [c for c in range(n) if not mask >> c & 1]
-        return mx.rank(self.spec, self.G[:, surv]) == self.dim
+        rows, pivots, free = self._echelon
+        lost = [row for row, c in zip(rows, pivots) if mask >> c & 1]
+        need = self.dim - len(pivots) + len(lost)  # the rank the lost rows must keep
+        if not 0 <= need <= len(lost):
+            return False
+        keep = [j for j, c in enumerate(free) if not mask >> c & 1]
+        return mx._rank_rows(self.spec, [[row[j] for j in keep] for row in lost]) == need
 
 
 def grid_units(rows: int, cols: int, block: int = 1) -> list[int]:

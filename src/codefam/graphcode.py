@@ -255,22 +255,20 @@ class ImprovedNearlyMDSCode(_ColumnSymbols):
         self.D = D
         if N % M_b != 0:
             raise GraphCodeError("block count must divide N")
-        self.L = N // M_b
-        if self.L % e != 0:
+        L = N // M_b
+        if L % e != 0:
             raise GraphCodeError("q'-symbol size must divide block length")
-        self.e = e
-        self.L2 = self.L // e                       # block length in q'-symbols
-        self.inner_spec = make_field(q_spec.p, e)
-        if self.inner_spec.q < self.L2:
-            raise GraphCodeError(f"q' = {self.inner_spec.q} < block length {self.L2}")
-        self.inner = reed_solomon(self.inner_spec, k_inner, self.L2)
+        L2 = L // e                                 # block length in q'-symbols
+        inner_spec = make_field(q_spec.p, e)
+        if inner_spec.q < L2:
+            raise GraphCodeError(f"q' = {inner_spec.q} < block length {L2}")
+        self.inner = reed_solomon(inner_spec, k_inner, L2)
         self.ell = k_inner * e                      # q-ary digits per block message
-        self.outer_spec = make_field(q_spec.p, self.ell)
-        self.outer = reed_solomon(self.outer_spec, k_out, M_b * D)
-        self.sh = make_seeded_random(N, M_b, D, rng_seed)
+        self.outer = reed_solomon(make_field(q_spec.p, self.ell), k_out, M_b * D)
+        sh = make_seeded_random(N, M_b, D, rng_seed)
         self.k_total = k_out * self.ell
         # block z*M_b + i carries its q'-ary digits on row z, columns sh.blocks(z)[i]
-        cells = [[z * N + x for x in blk] for z in range(D) for blk in self.sh.blocks(z)]
+        cells = [[z * N + x for x in blk] for z in range(D) for blk in sh.blocks(z)]
         super().__init__(ConcatenatedCode(InterleavedCode(self.outer), [self.inner] * len(cells),
                                           cells, D * N), (D, N), ("cols",))
 

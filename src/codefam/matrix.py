@@ -26,6 +26,7 @@ GF(257), GF(2^10) and GF(3^6), per shape and operation): rows were
 favour the array path first.
 `rank` over GF(2) packs rows into Python ints (arbitrary-precision
 bitmasks) and eliminates with XOR on whole rows at once, at any size.
+`_rank_rows` ranks rows that are already lists, on the same crossover.
 
 `_extend_packed` and `_extend` grow an echelon basis one row at a time,
 for scans that add vectors to a basis and take them off again; `_extend`
@@ -182,6 +183,16 @@ def _eliminate_rows(spec: FieldSpec, m: list) -> list[int]:
     return pivots
 
 
+def _rank_rows(spec: FieldSpec, rows: list) -> int:
+    """`rank` of a list of equal-length row lists, which it may consume: on
+    the row kernel below ROW_PATH_CELLS cells, as `_eliminate` chooses."""
+    if not rows or not rows[0]:
+        return 0
+    if len(rows) * len(rows[0]) < ROW_PATH_CELLS:
+        return len(_eliminate_rows(spec, rows))
+    return rank(spec, rows)
+
+
 def _reduce(spec: FieldSpec, ech, pivots):
     """Back pass: clear the entries above each pivot of an echelon form from
     `_eliminate`, in place, leaving its reduced row echelon form."""
@@ -201,7 +212,14 @@ def _reduce(spec: FieldSpec, ech, pivots):
 
 
 def rank(spec: FieldSpec, a) -> int:
-    a = as_matrix(spec, a)
+    return _rank(spec, as_matrix(spec, a))
+
+
+def _rank(spec: FieldSpec, a: np.ndarray) -> int:
+    """`rank` of an int64 matrix whose entries are known to lie in the
+    field, without `as_matrix`'s range check (a few microseconds, which
+    matter to callers that rank many small restrictions of one checked
+    matrix)."""
     if a.shape[0] == 0 or a.shape[1] == 0:
         return 0
     if spec.p == 2 and spec.m == 1:

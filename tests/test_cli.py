@@ -329,7 +329,7 @@ def test_malformed_input_exit_code(case, bp_manifest, tmp_path, capsys):
 # the flag that names the manifest, and any other flag a command requires
 MANIFEST_FLAGS = {"verify-family": ["--manifest"], "verify-graph": ["--code"],
                   "bridge": ["--as", "extractor", "--out", "out.json", "--family"],
-                  "report": ["--manifest"], "check-source": ["--bridge"]}
+                  "report": ["--manifest"], "check-source": ["--epsilon", "1/2", "--bridge"]}
 
 
 def _bad_matrix(case, path):
@@ -921,7 +921,8 @@ def test_check_source_malformed_bridge_exit_code(case, bridge_file, tmp_path, ca
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(man))
     capsys.readouterr()
-    assert cli.main(["check-source", "--bridge", str(bad), "--free", "0,1,2,3"]) == 4
+    assert cli.main(["check-source", "--bridge", str(bad), "--free", "0,1,2,3",
+                     "--epsilon", "1/2"]) == 4
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
 
@@ -931,9 +932,24 @@ def test_check_source_free_out_of_range_exit_code(free, bridge_file, capsys):
     """--free positions outside [0, n) are malformed input and exit 4, as an
     out-of-range decode --erased-rows does, not the infeasible-parameters 3."""
     capsys.readouterr()
-    assert cli.main(["check-source", "--bridge", str(bridge_file), "--free", free]) == 4
+    assert cli.main(["check-source", "--bridge", str(bridge_file), "--free", free,
+                     "--epsilon", "1/2"]) == 4
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+
+
+def test_check_source_without_epsilon_exit_code(bridge_file, tmp_path, capsys):
+    """check-source has no default error bound (a fraction never exceeds 1,
+    so a bound of 1 passes every source): without --epsilon it exits 4 and
+    writes nothing."""
+    out = tmp_path / "src.json"
+    capsys.readouterr()
+    assert cli.main(["check-source", "--bridge", str(bridge_file), "--free", "0",
+                     "--out", str(out)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+    assert "--epsilon" in json.loads(lines[0])["detail"]
+    assert not out.exists()
 
 
 def test_check_source_huge_field_prime_exits_at_once(bridge_file, tmp_path):
@@ -947,7 +963,8 @@ def test_check_source_huge_field_prime_exits_at_once(bridge_file, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", "import sys; from codefam.cli import main; "
                           "sys.exit(main(sys.argv[1:]))", "check-source", "--bridge", str(bad),
-                          "--free", "0,1"], capture_output=True, text=True, timeout=30, env=env)
+                          "--free", "0,1", "--epsilon", "1/2"],
+                         capture_output=True, text=True, timeout=30, env=env)
     assert run.returncode == 4
     assert json.loads(run.stdout.splitlines()[-1])["error"] == "InputError"
 

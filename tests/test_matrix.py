@@ -249,6 +249,7 @@ def test_rank_row_path_matches_array_path_and_oracle(case):
     want = len(oracle_rref(spec, a)[1])
     assert on_each_path(lambda: mx.rank(spec, a)) == [want] * 3
     assert on_each_path(lambda: len(mx._eliminate(spec, a)[1])) == [want] * 3
+    assert on_each_path(lambda: mx._rank_rows(spec, a.tolist())) == [want] * 3
 
 
 @settings(max_examples=60, deadline=None)

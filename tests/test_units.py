@@ -98,6 +98,42 @@ def test_packed_gf2_path_matches_generic_elimination(data):
     assert units.corrects(erased) == (generic == k)
 
 
+# every field the reduced-form check runs on: prime and extension fields
+# with list tables, and one above _ROW_TABLE_MAX_Q (log/antilog lists)
+ECHELON_FIELDS = [make_field(p, m) for p, m in
+                  ((3, 1), (2, 2), (5, 1), (3, 2), (13, 1), (2, 4), (257, 1))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reduced_form_check_matches_rank_of_survivors(data):
+    """Over GF(q), q > 2, `UnitCode.corrects` reads the reduced echelon form;
+    on every set of erased units it agrees with the direct criterion, the
+    rank of G on the surviving cells against `dim`, for any G: rank
+    deficient, with more rows than `dim`, `dim` = 0, all-zero or with zero
+    columns, and units that group several cells."""
+    spec = data.draw(st.sampled_from(ECHELON_FIELDS))
+    k, n = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 10))
+    entries = st.one_of(st.just(0), st.integers(0, spec.q - 1))  # zero half the time
+    G = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                    min_size=k, max_size=k)), dtype=np.int64).reshape(k, n)
+    if k > 1 and data.draw(st.booleans()):  # a row that depends on the others
+        G[-1] = spec.add(spec.mul(G[0], data.draw(st.integers(0, spec.q - 1))), G[-2])
+    dim = data.draw(st.integers(0, k + 1))
+    cells = st.sets(st.integers(0, n - 1)) if n else st.just(set())
+    unit_cells = data.draw(st.lists(cells, max_size=6))
+    units = [sum(1 << c for c in cs) for cs in unit_cells]
+    U = cd.UnitCode(spec, G, units, dim)
+    for size in range(len(units) + 1):
+        for erased in combinations(range(len(units)), size):
+            lost = set().union(*(cs for u, cs in enumerate(unit_cells) if u in erased))
+            surv = [c for c in range(n) if c not in lost]
+            assert U.corrects(erased) == (mx.rank(spec, G[:, surv]) == dim), (G, units, erased)
+    for bad in (-1, len(units)):
+        with pytest.raises(cd.CodeError, match="out of range"):
+            U.corrects([bad])
+
+
 def test_row_column_scan_stops_at_first_failure():
     """Rows outer, columns inner: the order of a nested (S, T) loop."""
     for seed, rate in product(range(8), (Fraction(1, 12), Fraction(1, 6))):
