@@ -442,7 +442,7 @@ def cmd_bridge(a) -> int:
         "field": {"p": fam.spec.p, "m": fam.spec.m,
                   "irreducible": list(fam.spec.irreducible)},
         "n": lsm.n, "m": lsm.m, "seeds": lsm.D,
-        "seed_length_bits": math.ceil(math.log2(lsm.D)) if lsm.D > 1 else 0,
+        "seed_length_bits": (lsm.D - 1).bit_length(),
         "maps": [[[int(v) for v in row] for row in G] for G in lsm.maps],
     }
     _write_json(a.out, out)

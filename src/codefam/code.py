@@ -5,7 +5,7 @@ A LinearCode is a full-row-rank generator matrix over a FieldSpec.
 Erasure correction is rank-characterized: a pattern S is correctable
 exactly when the generator with the columns in S removed still has full
 row rank, and decoding solves the linear system on the survivors (a
-Reed-Solomon code interpolates its survivors instead).  Over GF(q), q > 2,
+Reed-Solomon code interpolates its survivors instead).  Over every field
 that rank is read off the generator's reduced row echelon form R, kept
 once per code: rank G[:, S] = rank(G) - |P - S| + rank R[rows of P - S,
 S - P] for R's pivot columns P (an information set), so a check eliminates
@@ -74,16 +74,18 @@ class UnitCode:
     restricted to the surviving cells keeps rank `dim` (default: the row
     count of G).
 
-    Over GF(2) the check ANDs the packed rows with the survivors and ranks
-    the result.  Over any other field it reads the reduced row echelon
-    form R of G, built once: row operations keep the rank of every column
-    subset, and R's surviving pivot columns are unit vectors, so for the
-    erased cells E, the pivot cells P and the survivors S,
+    The check reads the reduced row echelon form R of G, built once: row
+    operations keep the rank of every column subset, and R's surviving
+    pivot columns are unit vectors, so for the erased cells E, the pivot
+    cells P and the survivors S,
 
         rank G[:, S] = rank(G) - |E & P| + rank R[rows of E & P, S - P]
 
     (P is an information set; Prange, 1962).  Only the rows whose pivots
     were erased are eliminated, and the answer is still an exact rank.
+    Over GF(2) R's rows are packed into ints and ranked by `rank_packed`
+    after one AND with the survivors; over any other field they are lists
+    restricted to the free cells.
     """
 
     def __init__(self, spec: FieldSpec, G: np.ndarray, units: list[int],
@@ -94,16 +96,11 @@ class UnitCode:
         self.dim = G.shape[0] if dim is None else dim
 
     @cached_property
-    def _packed(self) -> list[int]:
-        """GF(2) rows packed into ints, once: erasing cells is one AND per row."""
-        return mx.pack_rows(self.G)
-
-    @cached_property
     def H(self) -> np.ndarray:
         """Parity-check matrix, n - dim rows spanning the kernel of G
         (read-only, as it is shared).  A set of erased cells is correctable
         iff its columns of H are independent; built on first use, as only
-        exhaustive scans and duals read it."""
+        the condenser reads it."""
         H = mx.kernel_basis(self.spec, self.G)
         n = self.G.shape[1]
         if len(H) != n - self.dim:
@@ -112,16 +109,32 @@ class UnitCode:
         return H
 
     @cached_property
-    def _echelon(self) -> tuple[list[list[int]], list[int], list[int]]:
+    def _echelon(self) -> tuple[dict, int, list[int]]:
         """The reduced row echelon form R of G, once: its rank(G) nonzero
-        rows restricted to the free (non-pivot) cells, its pivot cells and
-        the free cells."""
+        rows keyed by their pivot cell's bit, the pivot cells as a mask,
+        and the free (non-pivot) cells.  Over GF(2) a row is an int, bit c
+        being cell c (XOR elimination, the lowest set bit the pivot);
+        otherwise a list restricted to the free cells."""
+        n = self.G.shape[1]
+        if self.spec.q == 2:
+            R: list[int] = []
+            for row in mx.pack_rows(self.G):
+                for piv in R:
+                    if row & piv & -piv:
+                        row ^= piv
+                if row:
+                    low = row & -row
+                    R = [piv ^ row if piv & low else piv for piv in R] + [row]
+            rows = {row & -row: row for row in R}
+            pivots = sum(rows)
+            return rows, pivots, [c for c in range(n) if not pivots >> c & 1]
         ech, pivots = mx._eliminate(self.spec, self.G)
         R = mx._reduce(self.spec, ech, pivots)[:len(pivots)]
         R = R.tolist() if isinstance(R, np.ndarray) else R
         piv = set(pivots)
-        free = [c for c in range(self.G.shape[1]) if c not in piv]
-        return [[row[c] for c in free] for row in R], pivots, free
+        free = [c for c in range(n) if c not in piv]
+        return ({1 << c: [row[f] for f in free] for row, c in zip(R, pivots)},
+                sum(1 << c for c in pivots), free)
 
     def corrects(self, erased) -> bool:
         """Whether G keeps rank `dim` on the cells the erased units leave."""
@@ -133,14 +146,17 @@ class UnitCode:
         n = self.G.shape[1]
         if n - mask.bit_count() < self.dim:
             return False
-        if self.spec.q == 2:
-            keep = ~mask
-            return mx.rank_packed([r & keep for r in self._packed]) == self.dim
         rows, pivots, free = self._echelon
-        lost = [row for row, c in zip(rows, pivots) if mask >> c & 1]
-        need = self.dim - len(pivots) + len(lost)  # the rank the lost rows must keep
+        lost, hit = [], mask & pivots
+        while hit:  # the rows whose pivots are erased
+            low = hit & -hit
+            lost.append(rows[low])
+            hit ^= low
+        need = self.dim - len(rows) + len(lost)  # the rank the lost rows must keep
         if not 0 <= need <= len(lost):
             return False
+        if self.spec.q == 2:
+            return mx.rank_packed([row & ~mask for row in lost]) == need
         keep = [j for j, c in enumerate(free) if not mask >> c & 1]
         return mx._rank_rows(self.spec, [[row[j] for j in keep] for row in lost]) == need
 

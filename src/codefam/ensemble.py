@@ -5,18 +5,20 @@ fraction of members.
 
 Provides exact (exhaustive) and Monte Carlo family verification, random
 sampling at the existence-lemma size, and a deterministic exhaustive
-search for tiny inner ensembles.
+search for tiny inner ensembles.  Every certificate is one pattern scan
+(`scan_patterns`), which tests patterns either against the codes' light
+codeword supports, in bulk, or one at a time with `UnitCode.corrects`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import accumulate, combinations, islice, product
+from functools import reduce
+from itertools import accumulate, combinations, islice, product, tee
 from operator import or_
 
 import numpy as np
@@ -99,107 +101,46 @@ def split_pattern(pat, axes) -> list[list[int]]:
     return [[u - s for u in pat if s <= u < s + n] for (n, _, _), s in zip(axes, starts)]
 
 
-def _blocks(axes) -> tuple[list, int]:
-    """The exhaustive scan's layout: per size combination with patterns, in
-    scan order, the index of its first pattern and one slot per unit it
-    erases, (first unit of the axis, n, units the axis erases after this
-    one, patterns per choice on the axes after it); and the pattern count."""
-    offsets = list(accumulate((n for n, _, _ in axes), initial=0))
-    blocks, total = [], 0
+def _size_blocks(axes):
+    """The exhaustive scan's patterns, one block per size combination that
+    has any, in scan order (by size, then lexicographically): per axis, the
+    `combinations` of the units it erases.  A block's patterns, in order,
+    are the product of its axes' choices."""
+    starts = list(accumulate((n for n, _, _ in axes), initial=0))
     for sizes in product(*(range(lo, hi + 1) for _, lo, hi in axes)):
-        slots, tail = [], 1
-        for (n, _, _), s, off in reversed(list(zip(axes, sizes, offsets))):
-            slots[:0] = [(off, n, s - i - 1, tail) for i in range(s)]
-            tail *= math.comb(n, s)
-        if tail:
-            blocks.append((total, slots))
-            total += tail
-    return blocks, total
+        if all(k <= n for (n, _, _), k in zip(axes, sizes)):
+            yield [combinations(range(s, s + n), k) for (n, _, _), s, k in zip(axes, starts, sizes)]
 
 
-def _walk(code: UnitCode, blocks, stop: bool) -> list[tuple[int, int]]:
-    """The index ranges [start, end) of the patterns `code` cannot correct.
-
-    Depth first, in scan order, with an echelon basis of the parity-check
-    columns of the cells erased so far: a unit adds the columns of its new
-    cells (units may share cells), and once one depends on the basis every
-    completion of the prefix fails too.  Those completions are one run of
-    scan indices, counted without visiting them.  `stop` ends the walk at
-    its first failure.
-    """
-    units, H = code.units, code.H
-    if code.spec.q == 2:
-        cols, extend = mx.pack_rows(H.T), mx._extend_packed
-    else:
-        cols, extend = H.T.tolist(), partial(mx._extend, code.spec)
-    cells = [[c for c in range(len(cols)) if unit >> c & 1] for unit in units]
-    unit_cols = [[cols[c] for c in cs] for cs in cells]
-    basis: list = []
-    fails: list[tuple[int, int]] = []
-    index = 0
-
-    def visit(slots, j, lo, erased) -> bool:
-        nonlocal index
-        off, n, left, tail = slots[j]
-        last = j + 1 == len(slots)
-        for v in range(lo, n - left):
-            unit = units[off + v]
-            new = unit & ~erased
-            rows = unit_cols[off + v]
-            if new != unit:
-                rows = [cols[c] for c in cells[off + v] if new >> c & 1]
-            mark = len(basis)
-            if not extend(basis, rows):
-                size = math.comb(n - v - 1, left) * tail
-                fails.append((index, index + size))
-                index += size
-                if stop:
-                    return True
-            elif last:
-                index += 1
-            elif visit(slots, j + 1, v + 1 if left else 0, erased | new):
-                return True
-            del basis[mark:]
-        return False
-
-    for first, slots in blocks:
-        index = first
-        if slots and visit(slots, 0, 0, 0):
-            break
-    return fails
+def _pattern_count(axes) -> int:
+    """How many patterns `_size_blocks` gives."""
+    return sum(math.prod(math.comb(n, k) for (n, _, _), k in zip(axes, sizes))
+               for sizes in product(*(range(lo, hi + 1) for _, lo, hi in axes)))
 
 
-def _pattern_at(blocks, index: int) -> tuple:
-    """The pattern at a scan index, counted as `_walk` counts."""
-    first, slots = blocks[bisect_right([b[0] for b in blocks], index) - 1]
-    rest, lo, pat = index - first, 0, []
-    for off, n, left, tail in slots:
-        v = lo
-        while rest >= (size := math.comb(n - v - 1, left) * tail):
-            rest -= size
-            v += 1
-        pat.append(off + v)
-        lo = v + 1 if left else 0
-    return tuple(pat)
-
-
-# `scan_patterns` tests codeword supports instead of walking a code when
-# the code has at most 64 cells (a support is one uint64) and its codeword
-# lines times its cells are at most this.  The support side costs about
-# lines x cells (one `matmul`, shared by a family's codes), the walk about
-# its patterns.  Measured on full exhaustive scans of random codes (2-core
-# VM, numpy 2.4.6; 16 to 64 cells, 500 to 2,000 patterns): one GF(2) code
-# broke even near 2^14 (supports 1.4x faster at 2^13.6, walk 1.7x at
-# 2^14.0 on 32 cells), eight near 2^16 (supports 1.6-4x faster at 2^15),
-# and one GF(3) code between 2^15 and 2^17.  A scan stopped at an early
-# failure favours the walk at any size.
-#
-# So the single codes that `verify_units` checks stay walked: forcing the
-# support side slowed each benchmark fixture (in-process medians of 7 runs)
-#   nearly-MDS (dim 12, 48 cells, 220 patterns)   walk 1.7 ms,  supports 8.4 ms
-#   improved nearly-MDS (dim 16, 48 cells)        walk 2.0 ms,  supports 145 ms
-#   symmetric outer block (dim 10, 64 cells)      walk 0.70 ms, supports 1.64 ms
-# and the symmetric code's 256 cells do not fit a uint64 support.
+# `scan_patterns` tests codeword supports instead of checking each pattern
+# when every code has at most 64 cells (a support is one uint64) and its
+# codeword lines times its cells are at most this times the number of
+# codes.  The support side costs about lines x cells per code (one
+# `matmul` for all the codes) plus a vectorized test of each pattern
+# against every support; the per-pattern side one `UnitCode.corrects`
+# call (2-6 us over GF(2)) per pattern and code, and stops at a first
+# failure without paying for supports.  Measured, supports vs
+# per-pattern (2-core VM, Python 3.11.7, numpy 2.4.6, medians):
+#   families, t = 32, full scans: GF(2) n = 16 7 vs 120 ms, n = 20
+#     (2^14.3 per code) 50 vs 1,258 ms; GF(3) n = 16 33 vs 538 ms
+#   one random code, full scans: GF(2) [32, 9..12] over 4,960 patterns
+#     (2^14-2^17) 2.0-5.8 vs 11.5-12.5 ms, [32, 14] (2^19) 19.4 vs 12.9 ms
+#   single-code benchmark checks, first failure ends them: nearly-MDS
+#     (dim 12, 48 cells, 220 patterns, 2^17.6) 5.9 vs 0.86 ms
+# So a single code keeps the bound that leaves these checks per-pattern,
+# and a family's bound grows with its size: GF(2) families at t = 32 are
+# on the support side up to n = 28.  Off the benchmark, the per-pattern
+# side costs about 3-5 us per pattern on large exhaustive scans of one
+# code (improved nearly-MDS, 96 cells, 10,626 patterns: 148-173 ms;
+# random GF(2) [32, 16], 35,960 patterns: 119-174 ms), and a Monte Carlo
+# scan of a large family pays for its supports up front (GF(2) n = 28,
+# t = 32: 0.44 s for 200 draws, 0.66 s for 10^4).
 SUPPORT_SIDE_CELLS = 1 << 14
 
 # Codeword cells (lines x generators x cells) that one `matmul` of
@@ -248,10 +189,14 @@ def _fails(owners, supports, kept: np.ndarray, ncodes: int) -> np.ndarray:
     return fails
 
 
-def _on_supports(code: UnitCode) -> bool:
-    """Whether `scan_patterns` tests this code's codeword supports."""
+def _on_supports(code: UnitCode, ncodes: int) -> bool:
+    """Whether `scan_patterns` may test the codeword supports of this code,
+    one of `ncodes`: a support fits a uint64, and its codeword lines x cells
+    are at most SUPPORT_SIDE_CELLS times `ncodes`, since one `matmul` finds
+    the supports of all the codes and each pattern is tested against all
+    of them at once."""
     q, cells = code.spec.q, code.G.shape[1]
-    return cells <= 64 and (q ** code.dim - 1) // (q - 1) * cells <= SUPPORT_SIDE_CELLS
+    return cells <= 64 and (q ** code.dim - 1) // (q - 1) * cells <= SUPPORT_SIDE_CELLS * ncodes
 
 
 def _rank_error(code: UnitCode) -> CodeError:
@@ -295,40 +240,51 @@ def _support_counter(codes: list[UnitCode], axes):
     return lambda erased: _fails(owners, supports, full & ~erased, len(codes)).sum(axis=0)
 
 
-def _support_scan(axes, codes: list[UnitCode], blocks, total: int, stop: bool):
-    """Exhaustive `scan_patterns` on the support side: (worst fail
-    fraction, smallest pattern reaching it, patterns tested)."""
-    counts = _support_counter(codes, axes)
-    units = np.array(codes[0].units, dtype=np.uint64)
-    offsets = list(accumulate((n for n, _, _ in axes), initial=0))
+def _support_scan(axes, counts, units: list[int], stop: bool):
+    """Exhaustive `scan_patterns` on the support side, `counts` from
+    `_support_counter`: (worst fail count, smallest pattern reaching it,
+    patterns tested)."""
+    units = np.array(units, dtype=np.uint64)
 
     def erased(picks):  # the cells that each choice of units erases
         return np.bitwise_or.reduce(units[np.array(picks, dtype=np.intp)], axis=1)
 
-    top, hits = 0, {}
-    for b, (first, slots) in enumerate(blocks):
-        choices = [combinations(range(off, off + n), sum(1 for o, *_ in slots if o == off))
-                   for (n, _, _), off in zip(axes, offsets)]
+    top, witness, tested = 0, (), 0
+    for choices in _size_blocks(axes):
         # a block's patterns, in scan order, are the products of one choice
         # of units per axis: the later axes' at once, the first's in chunks
-        tail = np.zeros(1, dtype=np.uint64)
-        for picks in choices[1:]:
-            tail = (tail[:, None] | erased(list(picks))[None, :]).ravel()
-        at = first
+        tail, tails = np.zeros(1, dtype=np.uint64), [()]
+        for picks in map(list, choices[1:]):
+            tail = (tail[:, None] | erased(picks)[None, :]).ravel()
+            tails = [t + p for t in tails for p in picks]
         while head := list(islice(choices[0], max(1, MASK_CHUNK_CELLS // len(tail)))):
             failing = counts((erased(head)[:, None] | tail[None, :]).ravel())
             peak = int(failing.max())
             if stop and peak:
                 j = int(np.argmax(failing > 0))
-                return Fraction(int(failing[j]), len(codes)), _pattern_at(blocks, at + j), at + j + 1
-            if peak > top:
-                top, hits = peak, {}
-            if peak == top and top:
-                hits.setdefault(b, at + int(np.argmax(failing == top)))
-            at += len(failing)
-    if not top:
-        return Fraction(0), (), total
-    return Fraction(top, len(codes)), min(_pattern_at(blocks, i) for i in hits.values()), total
+                return int(failing[j]), head[j // len(tails)] + tails[j % len(tails)], tested + j + 1
+            tested += len(failing)
+            if peak >= top and peak:
+                # within a block scan order is lexicographic: its first hit is its smallest
+                j = int(np.argmax(failing == peak))
+                hit = head[j // len(tails)] + tails[j % len(tails)]
+                witness = hit if peak > top else min(witness, hit)
+                top = peak
+    return top, witness, tested
+
+
+def _keep_worst(pairs, stop: bool):
+    """(worst fail count, smallest pattern reaching it, patterns tested)
+    over (pattern, codes failing it) pairs, in scan order or as drawn;
+    stop ends at the first failing pattern."""
+    worst, witness, tested = 0, None, 0
+    for pat, fails in pairs:
+        tested += 1
+        if witness is None or fails > worst or (fails == worst and pat < witness):
+            worst, witness = fails, pat
+        if stop and fails:
+            break
+    return worst, witness, tested
 
 
 def scan_patterns(axes, codes: list[UnitCode], mode: str = "exhaustive",
@@ -347,45 +303,53 @@ def scan_patterns(axes, codes: list[UnitCode], mode: str = "exhaustive",
     pattern.
 
     EnsembleError when the exhaustive axes admit no pattern, or when a
-    Monte Carlo axis erases more units than it has.
+    Monte Carlo axis erases more units than it has; CodeError when the
+    rank of a code's G is not its dim.
 
     Two sides give the same answers.  When every code qualifies
-    (`_on_supports`: at most 64 cells and few codeword lines), each
-    pattern's kept cells are tested against the codes' light codeword
-    supports (`_support_counter`).  Otherwise exhaustive mode walks
-    each code on the dual side (`_walk`) and Monte Carlo mode checks each
-    draw with `UnitCode.corrects`.
+    (`_on_supports`: at most 64 cells and few codeword lines per code),
+    each pattern's kept cells are tested against the codes' light
+    codeword supports (`_support_counter`).  Otherwise each pattern, in
+    scan order or as drawn, is checked with `UnitCode.corrects` per code.
     """
-    supported = all(map(_on_supports, codes))
     if mode == "exhaustive":
-        blocks, total = _blocks(axes)
+        total = _pattern_count(axes)
         if not total:
             raise EnsembleError(f"the axes {axes} admit no pattern")
         count = total * len(codes)
         if count > budget:
             raise BudgetExceeded(f"{count} rank checks exceed budget {budget}")
-        if supported:
-            return _support_scan(axes, codes, blocks, total, stop_at_failure)
-        walks = [_walk(c, blocks, stop_at_failure) for c in codes]
-        return _worst(blocks, total, walks, len(codes), stop_at_failure)
-    if mode != "montecarlo":
+    elif mode != "montecarlo":
         raise EnsembleError(f"unknown mode {mode!r}")
-    if rng_seed is None:
+    elif rng_seed is None:
         raise EnsembleError("montecarlo mode requires rng_seed")
-    if budget < 1:
+    elif budget < 1:
         raise BudgetExceeded(f"montecarlo budget {budget} draws no pattern")
-    for n, _, hi in axes:
-        if hi > n:
-            raise EnsembleError(f"an axis erases up to {hi} of its {n} units")
-    if supported:
+    else:
+        for n, _, hi in axes:
+            if hi > n:
+                raise EnsembleError(f"an axis erases up to {hi} of its {n} units")
+    if all(_on_supports(c, len(codes)) for c in codes):
         counts, units = _support_counter(codes, axes), codes[0].units
+        if mode == "exhaustive":
+            worst, witness, tested = _support_scan(axes, counts, units, stop_at_failure)
+            return Fraction(worst, len(codes)), witness, tested
 
         def failing(pats):
             return counts(np.array([reduce(or_, (units[u] for u in pat), 0) for pat in pats],
                                    dtype=np.uint64)).tolist()
     else:
-        def failing(pats):  # lazily, so that stop_at_failure checks no later draw
+        for c in codes:  # as `_support_counter` checks on the support side
+            if len(c._echelon[0]) != c.dim:
+                raise _rank_error(c)
+
+        def failing(pats):  # lazily, so that stop_at_failure checks no later pattern
             return (sum(1 for c in codes if not c.corrects(pat)) for pat in pats)
+        if mode == "exhaustive":
+            pats, again = tee(sum(parts, ()) for choices in _size_blocks(axes)
+                              for parts in product(*choices))
+            worst, witness, tested = _keep_worst(zip(pats, failing(again)), stop_at_failure)
+            return Fraction(worst, len(codes)), witness if worst else (), tested
     rng = random.Random(rng_seed)
     starts = list(accumulate((n for n, _, _ in axes), initial=0))
 
@@ -400,47 +364,8 @@ def scan_patterns(axes, codes: list[UnitCode], mode: str = "exhaustive",
             drawn += len(pats)
             yield from zip(pats, failing(pats))
 
-    worst, witness, tested = 0, None, 0
-    for pat, fails in draws():
-        tested += 1
-        if witness is None or fails > worst or (fails == worst and pat < witness):
-            worst, witness = fails, pat
-        if stop_at_failure and fails:
-            break
+    worst, witness, tested = _keep_worst(draws(), stop_at_failure)
     return Fraction(worst, len(codes)), witness, tested
-
-
-def _worst(blocks, total: int, walks, ncodes: int, stop: bool):
-    """(worst fail fraction, smallest pattern reaching it, patterns tested)
-    from each code's failing ranges."""
-    if stop:
-        firsts = [w[0][0] for w in walks if w]
-        if not firsts:
-            return Fraction(0), (), total
-        first = min(firsts)
-        return Fraction(firsts.count(first), ncodes), _pattern_at(blocks, first), first + 1
-    events = sorted(e for w in walks for a, b in w for e in ((a, 1), (b, -1)))
-    if not events:
-        return Fraction(0), (), total
-    # sweep the range ends in order: between two of them the fail count is
-    # constant, and the runs at the highest count hold every worst pattern
-    top, runs, count = 0, [], 0
-    for (x, d), (y, _) in zip(events, events[1:] + [(total, 0)]):
-        count += d
-        if x == y:
-            continue
-        if count > top:
-            top, runs = count, []
-        if count == top:
-            runs.append((x, y))
-    # within a block scan order is lexicographic: its first hit is its smallest
-    firsts = [b[0] for b in blocks]
-    hits: dict[int, int] = {}
-    for x, y in runs:
-        for j in range(bisect_right(firsts, x) - 1, bisect_left(firsts, y)):
-            hits.setdefault(j, max(x, firsts[j]))
-    witness = min(_pattern_at(blocks, i) for i in hits.values())
-    return Fraction(top, ncodes), witness, total
 
 
 def verify_units(code: UnitCode, axes, mode: str = "exhaustive",
@@ -472,8 +397,8 @@ def verify_family(F: ErasureFamily, mode: str = "exhaustive",
     samples `budget` uniform patterns of that size.  The report passes when
     the worst per-pattern failing fraction is <= epsilon.  The members are
     scanned by `scan_patterns`: on the support side when every member's
-    codeword lines are few (as at the existence-bound sizes), else walked
-    or checked per draw.
+    codeword lines are few for a family of its size (GF(2) at t = 32: up
+    to n = 28), else one `UnitCode.corrects` check per pattern and member.
     """
     s = max_pattern_size(F)
     worst, witness, tested = scan_patterns(

@@ -54,7 +54,6 @@ class RowCodeRS(InterleavedCode):
     def __init__(self, q_spec: FieldSpec, M: int, k_row: int, ell0: int, r: int):
         if q_spec.m != 1:
             raise GraphCodeError("row code requires a prime base alphabet")
-        self.q_spec = q_spec
         row_spec = make_field(q_spec.p, ell0)
         if row_spec.q < M:
             raise GraphCodeError(f"row alphabet q^{ell0} < M = {M}")
@@ -81,7 +80,6 @@ class BipartiteGraphCode(GridCode):
             raise GraphCodeError("column family larger than row count")
         if M % len(col_family) != 0:
             raise GraphCodeError("family size must divide M for repetition")
-        self.q_spec = q_spec
         self.M = M
         self.N = N
         self.delta_row = Fraction(delta_row)
@@ -173,7 +171,6 @@ class RandomMatrixCode:
 
     def __init__(self, q_spec: FieldSpec, M: int, N: int, k: int, rng_seed: int):
         rng = np.random.default_rng(rng_seed)
-        self.q_spec = q_spec
         self.M = M
         self.N = N
         self.G = rng.integers(0, q_spec.q, size=(k, M * N), dtype=np.int64)
@@ -248,7 +245,6 @@ class ImprovedNearlyMDSCode(_ColumnSymbols):
                  e: int, k_inner: int, k_out: int, rng_seed: int):
         if q_spec.m != 1:
             raise GraphCodeError("composite constructions require prime q")
-        self.q_spec = q_spec
         self.N = N
         self.delta = Fraction(delta)
         self.eta = Fraction(eta)

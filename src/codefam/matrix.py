@@ -27,10 +27,6 @@ favour the array path first.
 `rank` over GF(2) packs rows into Python ints (arbitrary-precision
 bitmasks) and eliminates with XOR on whole rows at once, at any size.
 `_rank_rows` ranks rows that are already lists, on the same crossover.
-
-`_extend_packed` and `_extend` grow an echelon basis one row at a time,
-for scans that add vectors to a basis and take them off again; `_extend`
-runs the same row kernel on list rows.
 """
 
 from __future__ import annotations
@@ -90,35 +86,6 @@ def rank_packed(rows: list[int]) -> int:
             pivots.append(row)
             r += 1
     return r
-
-
-def _extend_packed(basis: list, rows) -> bool:
-    """Add bit-packed GF(2) rows to an echelon basis of (row, lowest set bit)
-    pairs, each row reduced as in `rank_packed`.  False at the first row
-    that depends on the basis; the rows before it stay added."""
-    for row in rows:
-        for piv, low in basis:
-            if row & low:
-                row ^= piv
-        if not row:
-            return False
-        basis.append((row, row & -row))
-    return True
-
-
-def _extend(spec: FieldSpec, basis: list, rows) -> bool:
-    """`_extend_packed` over any field: rows are lists, and the basis
-    holds (pivot column, row scaled to 1 there) pairs."""
-    inverses, scale, sub_mul = spec._row_ops[:3]
-    for row in rows:
-        for c, piv in basis:
-            if row[c]:
-                row = sub_mul(row, row[c], piv)
-        c = next((c for c, x in enumerate(row) if x), None)
-        if c is None:
-            return False
-        basis.append((c, row if row[c] == 1 else scale(inverses[row[c]], row)))
-    return True
 
 
 def _eliminate(spec: FieldSpec, a: np.ndarray):

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from codefam import matrix as mx
-from codefam.code import (ConcatenatedCode, GridCode, GroupedCode, LinearCode, UnitCode,
+from codefam.code import (ConcatenatedCode, GridCode, GroupedCode, UnitCode,
                           expand_code, grid_units, reed_solomon)
 from codefam.ensemble import VerifyReport, split_pattern, verify_units
 from codefam.gf import FieldSpec, _is_prime, make_field
@@ -107,7 +107,6 @@ class OuterGraphCode:
     n: int
     ell: int
     space: MatrixSpaceCode
-    base: LinearCode
     delta_prime: Fraction
 
     @property
@@ -149,7 +148,7 @@ def build_outer_graph(q: int, n: int, ell: int, delta_prime) -> OuterGraphCode:
         S, T = split_pattern(rep.worst_pattern, axes)
         raise SymmetricCodeError(
             f"outer block rank check failed at S={tuple(S)}, T={tuple(T)}")
-    return OuterGraphCode(q_spec, n, ell, space, base, delta_prime)
+    return OuterGraphCode(q_spec, n, ell, space, delta_prime)
 
 
 class SymmetricGraphCode(GridCode):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from codefam import bridge as br
 from codefam import cli
 from codefam import graphcode as gc
 from codefam import symmetric as sym
@@ -138,6 +139,18 @@ def test_bridge_and_check_source(fam_manifest, tmp_path):
                      "--as", "condenser", "--out", str(con)]) == 0
     assert cli.main(["check-source", "--bridge", str(con),
                      "--free", "0,4", "--epsilon", "1/2"]) == 0
+
+
+def test_bridge_seed_length_is_exact_past_float_precision(fam_manifest, tmp_path, monkeypatch):
+    """seed_length_bits is ceil(log2 D) in integers: D = 2^49 + 1 needs 50
+    bits, where a float log2 rounds to 49."""
+    class Seeds:
+        n, m, D, maps = 16, 3, 2 ** 49 + 1, []
+    monkeypatch.setattr(br, "family_to_extractor", lambda fam: Seeds)
+    out = tmp_path / "ext.json"
+    assert cli.main(["bridge", "--family", str(fam_manifest), "--as", "extractor",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed_length_bits"] == 50
 
 
 def test_report_runs(fam_manifest, capsys):

@@ -206,11 +206,11 @@ def test_min_distance_lines_match_brute_force(C):
 
 
 @settings(max_examples=100, deadline=None)
-@given(codes(fallback=True), st.sampled_from(["walk", "supports"]))
+@given(codes(fallback=True), st.sampled_from(["per-pattern", "supports"]))
 def test_min_distance_scan_fallback_matches_brute_force(C, side):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cd, "BRUTE_FORCE_BOUND", 2 ** C.n)
-        mp.setattr(ens, "SUPPORT_SIDE_CELLS", -1 if side == "walk" else 1 << 62)
+        mp.setattr(ens, "SUPPORT_SIDE_CELLS", -1 if side == "per-pattern" else 1 << 62)
         assert cd.min_distance(C) == brute_force_distance(C)
         mp.setattr(cd, "BRUTE_FORCE_BOUND", 2 ** C.n - 1)
         with pytest.raises(cd.TooLarge):

@@ -2,19 +2,19 @@
 
 `ens.scan_patterns` tests each pattern's kept cells against the codes'
 light codeword supports when every code has few codeword lines (the
-support side), and otherwise walks each code's patterns depth first with
-an echelon basis of parity-check columns, failing every completion of a
-dependent prefix at once (the walk side).  `ens.SUPPORT_SIDE_CELLS`
-picks the side, so the tests force each one through it.  The oracle is
-the per-pattern primal loop both replaced: every pattern in scan order,
-one `UnitCode.corrects` rank check per code.  In Monte Carlo mode the
-oracle draws as the scan does and checks each draw the same way.
+support side), and otherwise checks each pattern, in scan order, with one
+`UnitCode.corrects` call per code (the per-pattern side).
+`ens.SUPPORT_SIDE_CELLS` picks the side, so the tests force each one
+through it.  The oracle is the plain primal loop: every pattern in scan
+order, one rank check of G on its survivors per code.  In Monte Carlo
+mode the oracle draws as the scan does and checks each draw the same way.
 """
 
 import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, combinations, product
 
 import numpy as np
@@ -46,11 +46,29 @@ def scan_order(axes):
         yield from patterns(axes, sizes)
 
 
+@cache
+def packed_rows(code):
+    return mx.pack_rows(code.G)
+
+
+def survivors_rank_ok(code, pat):
+    """The direct criterion: G keeps rank `dim` on the cells `pat` leaves
+    (over GF(2) on G's packed rows ANDed with the survivors, as `mx.rank`
+    packs them)."""
+    lost = 0
+    for u in pat:
+        lost |= code.units[u]
+    if code.spec.q == 2:
+        return mx.rank_packed([row & ~lost for row in packed_rows(code)]) == code.dim
+    surv = [c for c in range(code.G.shape[1]) if not lost >> c & 1]
+    return mx.rank(code.spec, code.G[:, surv]) == code.dim
+
+
 def primal_scan(axes, codes, stop_at_failure=False):
     """(worst, witness, tested) by one primal rank check per pattern and code."""
     worst, witness, tested = Fraction(0), (), 0
     for pat in scan_order(axes):
-        frac = Fraction(sum(1 for c in codes if not c.corrects(pat)), len(codes))
+        frac = Fraction(sum(1 for c in codes if not survivors_rank_ok(c, pat)), len(codes))
         tested += 1
         if frac > worst or (frac == worst and pat < witness):
             worst, witness = frac, pat
@@ -68,7 +86,7 @@ def montecarlo_oracle(axes, codes, budget, seed, stop_at_failure=False):
     for _ in range(budget):
         pat = tuple(s + u for (n, _, hi), s in zip(axes, starts)
                     for u in sorted(rng.sample(range(n), hi)))
-        frac = Fraction(sum(1 for c in codes if not c.corrects(pat)), len(codes))
+        frac = Fraction(sum(1 for c in codes if not survivors_rank_ok(c, pat)), len(codes))
         tested += 1
         if witness is None or frac > worst or (frac == worst and pat < witness):
             worst, witness = frac, pat
@@ -79,10 +97,11 @@ def montecarlo_oracle(axes, codes, budget, seed, stop_at_failure=False):
 
 @contextmanager
 def side(name, chunk_cells=None):
-    """Force every code onto one side of the scan ("walk" or "supports"),
-    optionally with `chunk_cells` as the support side's chunk bound."""
+    """Force every code onto one side of the scan ("per-pattern" or
+    "supports"), optionally with `chunk_cells` as the support side's chunk
+    bound."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ens, "SUPPORT_SIDE_CELLS", -1 if name == "walk" else 1 << 62)
+        mp.setattr(ens, "SUPPORT_SIDE_CELLS", -1 if name == "per-pattern" else 1 << 62)
         if chunk_cells is not None:
             mp.setattr(ens, "MASK_CHUNK_CELLS", chunk_cells)
         yield
@@ -129,9 +148,9 @@ def scans(draw):
 @settings(max_examples=300, deadline=None)
 @given(scans(), st.booleans())
 def test_scan_matches_primal_oracle(scan, stop):
-    """The walk side."""
+    """The per-pattern side."""
     axes, codes = scan
-    with side("walk"):
+    with side("per-pattern"):
         got = ens.scan_patterns(axes, codes, stop_at_failure=stop)
     assert got == primal_scan(axes, codes, stop)
 
@@ -158,7 +177,7 @@ def test_support_side_matches_primal_oracle(scan, stop, chunk_cells, seed):
     # Monte Carlo draws need hi <= n on every axis
     axes = [(n, min(lo, n), min(hi, n)) for n, lo, hi in axes]
     want = montecarlo_oracle(axes, codes, 40, seed, stop)
-    for name in ("supports", "walk"):
+    for name in ("supports", "per-pattern"):
         with side(name, chunk_cells):
             got = ens.scan_patterns(axes, codes, "montecarlo", 40, seed, stop_at_failure=stop)
         assert got == want
@@ -174,12 +193,18 @@ def test_full_rank_square_code_fails_every_nonempty_pattern():
 
 
 def test_rank_other_than_dim_is_rejected():
+    """On both sides, in both modes, whether or not the scan stops."""
     C = cd.UnitCode(f2, np.array([[1, 1, 0]]), [1, 2, 4], dim=2)
-    with pytest.raises(cd.CodeError):
-        ens.scan_patterns([(3, 1, 1)], [C])
+    for name, mode, stop in product(("supports", "per-pattern"), ("exhaustive", "montecarlo"),
+                                    (False, True)):
+        with side(name), pytest.raises(cd.CodeError, match="rank 1, not dim = 2"):
+            ens.scan_patterns([(3, 1, 1)], [C], mode, 5, 1 if mode == "montecarlo" else None,
+                              stop_at_failure=stop)
 
 
 def test_exhaustive_scan_makes_no_primal_rank_checks(monkeypatch):
+    """The support side makes no per-pattern rank check; the per-pattern
+    side and Monte Carlo draws off the support side do."""
     F = ens.sample_random_family(f2, 12, QUARTER, QUARTER, QUARTER, 8, rng_seed=4)
     s = ens.max_pattern_size(F)
     family_want = primal_scan([(F.n, s, s)], [c.unit_code for c in F.codes])
@@ -190,16 +215,32 @@ def test_exhaustive_scan_makes_no_primal_rank_checks(monkeypatch):
     def no_primal(self, erased):
         raise AssertionError("an exhaustive scan made a primal rank check")
     monkeypatch.setattr(cd.UnitCode, "corrects", no_primal)
-    for name in ("supports", "walk"):
-        with side(name):
-            rep = ens.verify_family(F)
-            assert (rep.worst_fail_fraction, rep.worst_pattern,
-                    rep.patterns_tested) == family_want
-            rep = ens.verify_units(R.unit_code, axes)
-            assert (rep.worst_fail_fraction, rep.worst_pattern,
-                    rep.patterns_tested) == graph_want
-    with side("walk"), pytest.raises(AssertionError):  # Monte Carlo walked codes check each draw
-        ens.verify_family(F, mode="montecarlo", budget=5, rng_seed=1)
+    with side("supports"):
+        rep = ens.verify_family(F)
+        assert (rep.worst_fail_fraction, rep.worst_pattern, rep.patterns_tested) == family_want
+        rep = ens.verify_units(R.unit_code, axes)
+        assert (rep.worst_fail_fraction, rep.worst_pattern, rep.patterns_tested) == graph_want
+    for scan in (lambda: ens.verify_family(F),
+                 lambda: ens.verify_family(F, mode="montecarlo", budget=5, rng_seed=1)):
+        with side("per-pattern"), pytest.raises(AssertionError):
+            scan()
+
+
+def test_gf2_family_at_n20_is_certified_on_the_support_side(monkeypatch):
+    """Families share the support side's set-up, so its bound grows with
+    the member count: 32 GF(2) [20, 10] codes (1,023 lines x 20 cells
+    each, above one code's bound) are certified from their supports, with
+    no per-pattern check, and agree with the primal oracle."""
+    F = ens.sample_random_family(f2, 20, QUARTER, QUARTER, QUARTER, 32, rng_seed=1)
+    codes = [c.unit_code for c in F.codes]
+    assert not ens._on_supports(codes[0], 1) and ens._on_supports(codes[0], 32)
+    want = primal_scan([(20, 5, 5)], codes)
+
+    def no_primal(self, erased):
+        raise AssertionError("a support-side scan made a primal rank check")
+    monkeypatch.setattr(cd.UnitCode, "corrects", no_primal)
+    rep = ens.verify_family(F)
+    assert (rep.worst_fail_fraction, rep.worst_pattern, rep.patterns_tested) == want
 
 
 def test_budget_counts_one_check_per_pattern_and_code():

@@ -98,16 +98,17 @@ def test_packed_gf2_path_matches_generic_elimination(data):
     assert units.corrects(erased) == (generic == k)
 
 
-# every field the reduced-form check runs on: prime and extension fields
-# with list tables, and one above _ROW_TABLE_MAX_Q (log/antilog lists)
+# every field the reduced-form check runs on: GF(2) (packed rows), prime
+# and extension fields with list tables, and one above _ROW_TABLE_MAX_Q
+# (log/antilog lists)
 ECHELON_FIELDS = [make_field(p, m) for p, m in
-                  ((3, 1), (2, 2), (5, 1), (3, 2), (13, 1), (2, 4), (257, 1))]
+                  ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (13, 1), (2, 4), (257, 1))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_reduced_form_check_matches_rank_of_survivors(data):
-    """Over GF(q), q > 2, `UnitCode.corrects` reads the reduced echelon form;
+    """Over every field, `UnitCode.corrects` reads the reduced echelon form;
     on every set of erased units it agrees with the direct criterion, the
     rank of G on the surviving cells against `dim`, for any G: rank
     deficient, with more rows than `dim`, `dim` = 0, all-zero or with zero
