@@ -55,8 +55,9 @@ def family_to_extractor(F: ErasureFamily) -> LinearSeededMap:
 
 
 def family_to_condenser(F: ErasureFamily) -> LinearSeededMap:
-    """Seed z maps x to H_z x, H_z the dual parity of the z-th member."""
-    maps = [c.unit_code.H for c in F.codes]
+    """Seed z maps x to H_z x, H_z the dual parity of the z-th member: the
+    n - k rows spanning the kernel of its full-rank G."""
+    maps = [mx.kernel_basis(F.spec, c.G) for c in F.codes]
     if any(H.shape[0] == 0 for H in maps):
         raise BridgeError("rate-1 member has an empty parity matrix")
     return LinearSeededMap(F.spec, maps)

@@ -501,7 +501,7 @@ def cmd_report(a) -> int:
     kind = _known_kind(man.get("kind"))
     lines = [f"kind: {kind}"]  # printed once all are read, so an error prints alone
     if "rate" in man:
-        lines.append(f"rate: {man['rate']} ({float(_parsed(_frac, man['rate'])):.4f})")
+        lines.append(f"rate: {_parsed(_frac, man['rate'])}")
     lines += [f"{key}: {man[key]}" for key in ("singleton_bound", "capacity_bound", "delta")
               if key in man]
     if kind == "family":

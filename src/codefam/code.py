@@ -96,19 +96,6 @@ class UnitCode:
         self.dim = G.shape[0] if dim is None else dim
 
     @cached_property
-    def H(self) -> np.ndarray:
-        """Parity-check matrix, n - dim rows spanning the kernel of G
-        (read-only, as it is shared).  A set of erased cells is correctable
-        iff its columns of H are independent; built on first use, as only
-        the condenser reads it."""
-        H = mx.kernel_basis(self.spec, self.G)
-        n = self.G.shape[1]
-        if len(H) != n - self.dim:
-            raise CodeError(f"G has rank {n - len(H)}, not dim = {self.dim}")
-        H.flags.writeable = False
-        return H
-
-    @cached_property
     def _echelon(self) -> tuple[dict, int, list[int]]:
         """The reduced row echelon form R of G, once: its rank(G) nonzero
         rows keyed by their pivot cell's bit, the pivot cells as a mask,

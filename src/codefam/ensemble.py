@@ -17,9 +17,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, combinations, islice, product, tee
-from operator import or_
+from itertools import accumulate, chain, combinations, islice, product
 
 import numpy as np
 
@@ -145,9 +143,10 @@ SUPPORT_SIDE_CELLS = 1 << 14
 
 # Codeword cells (lines x generators x cells) that one `matmul` of
 # `_supports` makes, support x pattern tests that one chunk of `_fails`
-# makes, and patterns that `_support_scan` builds, at once: 128 KB int64
-# temporaries.  2^16 ran certify no faster (2-core VM, six 10 s runs) and
-# raised its peak RSS by about 1 MB.
+# makes, and patterns in one run of `_scan_order`, whose erased-cell masks
+# the support side builds as one uint64 array: 128 KB arrays of 8-byte
+# items.  2^16 ran certify no faster (2-core VM, six 10 s runs) and raised
+# its peak RSS by about 1 MB.
 MASK_CHUNK_CELLS = 1 << 14
 
 
@@ -181,7 +180,8 @@ def _fails(owners, supports, kept: np.ndarray, ncodes: int) -> np.ndarray:
     """
     fails = np.zeros((ncodes, len(kept)), dtype=bool)
     if len(supports):
-        starts = np.flatnonzero(np.diff(owners, prepend=-1))
+        # each owner's first support (np.diff with a prepend costs more)
+        starts = np.flatnonzero(np.concatenate(([True], owners[1:] != owners[:-1])))
         step = max(1, MASK_CHUNK_CELLS // len(supports))
         for lo in range(0, len(kept), step):
             inside = (supports[:, None] & kept[None, lo:lo + step]) == 0
@@ -240,50 +240,56 @@ def _support_counter(codes: list[UnitCode], axes):
     return lambda erased: _fails(owners, supports, full & ~erased, len(codes)).sum(axis=0)
 
 
-def _support_scan(axes, counts, units: list[int], stop: bool):
-    """Exhaustive `scan_patterns` on the support side, `counts` from
-    `_support_counter`: (worst fail count, smallest pattern reaching it,
-    patterns tested)."""
-    units = np.array(units, dtype=np.uint64)
-
-    def erased(picks):  # the cells that each choice of units erases
-        return np.bitwise_or.reduce(units[np.array(picks, dtype=np.intp)], axis=1)
-
-    top, witness, tested = 0, (), 0
-    for choices in _size_blocks(axes):
-        # a block's patterns, in scan order, are the products of one choice
-        # of units per axis: the later axes' at once, the first's in chunks
-        tail, tails = np.zeros(1, dtype=np.uint64), [()]
-        for picks in map(list, choices[1:]):
-            tail = (tail[:, None] | erased(picks)[None, :]).ravel()
+def _scan_order(axes):
+    """The exhaustive scan's patterns in scan order, as runs of at most
+    MASK_CHUNK_CELLS equal-size patterns of one `_size_blocks` block.  A
+    run is built as it is read, so a counter that stops early builds no
+    pattern past the one it stops at."""
+    for first, *rest in _size_blocks(axes):
+        tails = [()]  # every choice of the later axes, after each of the first's
+        for picks in map(list, rest):  # a list: it is read once per earlier tail
             tails = [t + p for t in tails for p in picks]
-        while head := list(islice(choices[0], max(1, MASK_CHUNK_CELLS // len(tail)))):
-            failing = counts((erased(head)[:, None] | tail[None, :]).ravel())
-            peak = int(failing.max())
-            if stop and peak:
-                j = int(np.argmax(failing > 0))
-                return int(failing[j]), head[j // len(tails)] + tails[j % len(tails)], tested + j + 1
-            tested += len(failing)
-            if peak >= top and peak:
-                # within a block scan order is lexicographic: its first hit is its smallest
-                j = int(np.argmax(failing == peak))
-                hit = head[j // len(tails)] + tails[j % len(tails)]
-                witness = hit if peak > top else min(witness, hit)
-                top = peak
-    return top, witness, tested
+        pats = (h + t for h in first for t in tails) if rest else first
+        while (head := next(pats, None)) is not None:
+            yield chain((head,), islice(pats, MASK_CHUNK_CELLS - 1))
 
 
-def _keep_worst(pairs, stop: bool):
+def _draws(axes, budget: int, rng_seed: int):
+    """Monte Carlo mode's `budget` patterns of the largest sizes, drawn
+    from random.Random(rng_seed) in doubling batches of at most 1,024, so
+    that stop_at_failure draws at most twice the patterns it tests."""
+    rng = random.Random(rng_seed)
+    starts = list(accumulate((n for n, _, _ in axes), initial=0))
+    drawn = 0
+    while drawn < budget:
+        batch = [tuple(s + u for (n, _, hi), s in zip(axes, starts)
+                       for u in sorted(rng.sample(range(n), hi)))
+                 for _ in range(min(max(drawn, 1), budget - drawn, 1024))]
+        drawn += len(batch)
+        yield batch
+
+
+def _keep_worst(batches, stop: bool, drawn: bool):
     """(worst fail count, smallest pattern reaching it, patterns tested)
-    over (pattern, codes failing it) pairs, in scan order or as drawn;
-    stop ends at the first failing pattern."""
-    worst, witness, tested = 0, None, 0
-    for pat, fails in pairs:
-        tested += 1
-        if witness is None or fails > worst or (fails == worst and pat < witness):
-            worst, witness = fails, pat
-        if stop and fails:
-            break
+    over (patterns, how many codes fail each) batches, in scan order or as
+    drawn; stop ends at the first failing pattern, and a counter that
+    stops there too counts only the patterns up to it.  With no failure a
+    scan names no pattern, and draws their smallest."""
+    worst, witness, tested = 0, None if drawn else (), 0
+    for pats, fails in batches:
+        peak = max(fails)
+        if stop and peak:
+            j = next(j for j, f in enumerate(fails) if f)
+            return fails[j], pats[j], tested + j + 1
+        tested += len(fails)
+        if peak < worst or not (peak or drawn):
+            continue
+        if drawn:  # draws come in no order
+            hit = min(p for p, f in zip(pats, fails) if f == peak)
+        else:  # within a block scan order is lexicographic: its first hit is its smallest
+            hit = pats[fails.index(peak)]
+        witness = hit if peak > worst or witness is None else min(witness, hit)
+        worst = peak
     return worst, witness, tested
 
 
@@ -306,11 +312,16 @@ def scan_patterns(axes, codes: list[UnitCode], mode: str = "exhaustive",
     Monte Carlo axis erases more units than it has; CodeError when the
     rank of a code's G is not its dim.
 
-    Two sides give the same answers.  When every code qualifies
-    (`_on_supports`: at most 64 cells and few codeword lines per code),
-    each pattern's kept cells are tested against the codes' light
-    codeword supports (`_support_counter`).  Otherwise each pattern, in
-    scan order or as drawn, is checked with `UnitCode.corrects` per code.
+    One loop serves both modes: a pattern source (`_scan_order` or
+    `_draws`) gives batches of patterns, a failure counter counts the codes
+    that fail each, and `_keep_worst` keeps the worst.  Two counters give
+    the same answers.  When every code qualifies (`_on_supports`: at most
+    64 cells and few codeword lines per code), each batch's erased cells
+    are tested against the codes' light codeword supports at once
+    (`_support_counter`).  Otherwise each pattern is checked with
+    `UnitCode.corrects` per code, and under stop_at_failure no pattern
+    after the first failing one is checked (nor, in exhaustive mode,
+    built).
     """
     if mode == "exhaustive":
         total = _pattern_count(axes)
@@ -330,41 +341,29 @@ def scan_patterns(axes, codes: list[UnitCode], mode: str = "exhaustive",
             if hi > n:
                 raise EnsembleError(f"an axis erases up to {hi} of its {n} units")
     if all(_on_supports(c, len(codes)) for c in codes):
-        counts, units = _support_counter(codes, axes), codes[0].units
-        if mode == "exhaustive":
-            worst, witness, tested = _support_scan(axes, counts, units, stop_at_failure)
-            return Fraction(worst, len(codes)), witness, tested
+        counts, units = _support_counter(codes, axes), np.array(codes[0].units, dtype=np.uint64)
 
-        def failing(pats):
-            return counts(np.array([reduce(or_, (units[u] for u in pat), 0) for pat in pats],
-                                   dtype=np.uint64)).tolist()
+        def failing(pats):  # the cells each pattern erases, for all of them at once
+            pats = list(pats)
+            picks = np.fromiter(chain.from_iterable(pats), np.intp, len(pats) * len(pats[0]))
+            erased = np.bitwise_or.reduce(units[picks.reshape(len(pats), -1)], axis=1)
+            return pats, counts(erased).tolist()
     else:
         for c in codes:  # as `_support_counter` checks on the support side
             if len(c._echelon[0]) != c.dim:
                 raise _rank_error(c)
 
-        def failing(pats):  # lazily, so that stop_at_failure checks no later pattern
-            return (sum(1 for c in codes if not c.corrects(pat)) for pat in pats)
-        if mode == "exhaustive":
-            pats, again = tee(sum(parts, ()) for choices in _size_blocks(axes)
-                              for parts in product(*choices))
-            worst, witness, tested = _keep_worst(zip(pats, failing(again)), stop_at_failure)
-            return Fraction(worst, len(codes)), witness if worst else (), tested
-    rng = random.Random(rng_seed)
-    starts = list(accumulate((n for n, _, _ in axes), initial=0))
-
-    def draws():
-        # in doubling batches of at most 1,024, so that stop_at_failure
-        # draws at most twice the patterns it tests
-        drawn = 0
-        while drawn < budget:
-            pats = [tuple(s + u for (n, _, hi), s in zip(axes, starts)
-                          for u in sorted(rng.sample(range(n), hi)))
-                    for _ in range(min(max(drawn, 1), budget - drawn, 1024))]
-            drawn += len(pats)
-            yield from zip(pats, failing(pats))
-
-    worst, witness, tested = _keep_worst(draws(), stop_at_failure)
+        def failing(pats):  # under stop_at_failure, up to the first failing pattern only
+            read, counts = [], []
+            for pat in pats:
+                read.append(pat)
+                counts.append(sum(1 for c in codes if not c.corrects(pat)))
+                if stop_at_failure and counts[-1]:
+                    break
+            return read, counts
+    batches = _scan_order(axes) if mode == "exhaustive" else _draws(axes, budget, rng_seed)
+    worst, witness, tested = _keep_worst(map(failing, batches), stop_at_failure,
+                                         mode == "montecarlo")
     return Fraction(worst, len(codes)), witness, tested
 
 

@@ -11,7 +11,8 @@ used when its name appears as an identifier or attribute anywhere in the
 package, its own `def` aside.  A public one counts as used the same way,
 with the benchmark's sources searched too; exempt are the CLI's `cmd_*`
 handlers (looked up by name), the functions and methods the benchmark's
-per-layer metrics name, and the test oracles below.
+per-layer metrics name, and the test oracles below.  And no module calls
+`float` or a `math.log*` function: every quantity is exact.
 """
 
 import ast
@@ -115,3 +116,28 @@ def test_checker_flags_an_unused_public_def():
     b = "import a\na.used()\nprint(a.Kept)\n"
     assert unused_public_defs({"a.py": a}, {"b.py": b}) == ["Stale (a.py:10)",
                                                           "left (a.py:4)"]
+
+
+def float_calls(source: str) -> list[str]:
+    """Calls of `float` and of the `math.log*` functions, as `name (line)`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == "float":
+                found.append(f"float (line {node.lineno})")
+            elif (isinstance(f, ast.Attribute) and f.attr.startswith("log")
+                  and isinstance(f.value, ast.Name) and f.value.id == "math"):
+                found.append(f"math.{f.attr} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_floating_point_calls(path):
+    assert float_calls(path.read_text()) == []
+
+
+def test_checker_flags_floating_point_calls():
+    src = ("import math\nx = float('1.5')\ny = math.log2(8) + math.log(2)\n"
+           "z = math.floor(1) + math.comb(4, 2)\nlog = print\nlog(x)\n")
+    assert float_calls(src) == ["float (line 2)", "math.log2 (line 3)", "math.log (line 3)"]

@@ -116,15 +116,19 @@ def matrices(spec, rows, cols):
 @st.composite
 def unit_layouts(draw):
     """(cells, units, axes): positions on one axis, the rows and columns of
-    a grid on two axes, or the vertices of a square grid (a vertex is its
-    row and its column, so vertices share cells) on one axis."""
+    a grid on two axes, the vertices of a square grid (a vertex is its row
+    and its column, so vertices share cells) on one axis, or positions on
+    three axes."""
     def axis(n):
         lo = draw(st.integers(0, n))
         return n, lo, draw(st.integers(lo, n + 1))  # hi = n + 1: sizes with no pattern
-    kind = draw(st.sampled_from(["positions", "grid", "vertices"]))
+    kind = draw(st.sampled_from(["positions", "grid", "vertices", "three axes"]))
     if kind == "positions":
         n = draw(st.integers(1, 7))
         return n, [1 << i for i in range(n)], [axis(n)]
+    if kind == "three axes":
+        sizes = [draw(st.integers(1, 2)) for _ in range(3)]
+        return sum(sizes), [1 << i for i in range(sum(sizes))], [axis(n) for n in sizes]
     if kind == "grid":
         M, N = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         return M * N, cd.grid_units(M, N), [axis(M), axis(N)]
@@ -145,8 +149,18 @@ def scans(draw):
     return axes, codes
 
 
+def three_pairs():
+    """One position of each of three pairs: 8 patterns, and this [6, 3]
+    code fails only (0, 3, 4), the first pattern that pairs the first
+    axis's first choice with the second axis's second."""
+    G = np.array([[0, 0, 1, 0, 1, 1], [0, 1, 0, 1, 1, 1], [1, 0, 0, 1, 1, 0]])
+    return [(2, 1, 1)] * 3, [cd.UnitCode(f2, G, [1 << i for i in range(6)])]
+
+
 @settings(max_examples=300, deadline=None)
 @given(scans(), st.booleans())
+@example(three_pairs(), False)
+@example(three_pairs(), True)
 def test_scan_matches_primal_oracle(scan, stop):
     """The per-pattern side."""
     axes, codes = scan
@@ -167,6 +181,7 @@ def gf3_family():
 @given(scans(), st.booleans(), st.sampled_from([1, 64, ens.MASK_CHUNK_CELLS]),
        st.integers(0, 2 ** 32 - 1))
 @example(gf3_family(), False, 1, 0)  # 56 patterns, one support test a chunk
+@example(three_pairs(), False, ens.MASK_CHUNK_CELLS, 0)
 def test_support_side_matches_primal_oracle(scan, stop, chunk_cells, seed):
     """The support side in both modes, with chunk bounds down to one
     support test (and one pattern, and one generator) a chunk."""
@@ -187,9 +202,32 @@ def test_full_rank_square_code_fails_every_nonempty_pattern():
     """n - dim = 0: H has no rows, so every nonempty erasure fails."""
     for spec in FIELDS:
         C = cd.UnitCode(spec, mx.identity(4), [1 << i for i in range(4)])
-        assert C.H.shape == (0, 4)
+        assert mx.kernel_basis(spec, C.G).shape == (0, 4)
         assert ens.scan_patterns([(4, 0, 2)], [C]) == (1, (0,), 11)
         assert ens.scan_patterns([(4, 0, 2)], [C], stop_at_failure=True) == (1, (0,), 2)
+
+
+def test_stopped_scan_builds_no_pattern_past_its_first_failure(monkeypatch):
+    """On the per-pattern side an exhaustive scan builds each pattern as it
+    checks it: a [12, 10] code fails every pattern of 3 positions, so a
+    scan that stops reads one choice of the axis, and one that does not
+    reads all 220."""
+    read = []
+    blocks = ens._size_blocks
+
+    def counted(choices):
+        for pick in choices:
+            read.append(pick)
+            yield pick
+    monkeypatch.setattr(ens, "_size_blocks",
+                        lambda axes: ([counted(first), *rest] for first, *rest in blocks(axes)))
+    C = cd.UnitCode(f2, np.hstack([mx.identity(10), np.zeros((10, 2), dtype=np.int64)]),
+                    [1 << i for i in range(12)])
+    with side("per-pattern"):
+        assert ens.scan_patterns([(12, 3, 3)], [C], stop_at_failure=True) == (1, (0, 1, 2), 1)
+        assert read == [(0, 1, 2)]
+        assert ens.scan_patterns([(12, 3, 3)], [C]) == (1, (0, 1, 2), 220)
+        assert len(read) == 221
 
 
 def test_rank_other_than_dim_is_rejected():

@@ -8,6 +8,7 @@ force over every vector or matrix.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -151,6 +152,37 @@ def test_row_column_scan_stops_at_first_failure():
         else:
             assert rep.passed and rep.patterns_tested == len(pairs)
             assert rep.worst_pattern == ()
+
+
+@pytest.mark.parametrize("mode,seed", [("exhaustive", None), ("montecarlo", 7)])
+def test_stopping_scan_checks_nothing_past_its_first_failure(mode, seed, monkeypatch):
+    """On the per-pattern side, a scan that stops at its first failing
+    pattern calls `UnitCode.corrects` once per code on each pattern before
+    it, in scan or draw order, then on that pattern only.  Five GF(3)
+    [8, 4] codes fail their 7th pattern of size 3 in scan order, and their
+    5th drawn from seed 7 (so its draws come in batches of 1, 1, 2 and 4)."""
+    spec = FIELDS[1]
+    codes = [cd.UnitCode(spec, G, [1 << i for i in range(8)], dim=mx.rank(spec, G))
+             for G in np.random.default_rng(4).integers(0, 3, (5, 4, 8))]
+    if mode == "exhaustive":
+        order = list(combinations(range(8), 3))
+    else:
+        rng = random.Random(seed)
+        order = [tuple(sorted(rng.sample(range(8), 3))) for _ in range(56 * 5)]
+    calls = []
+    corrects = cd.UnitCode.corrects
+
+    def counted(self, erased):
+        calls.append(tuple(erased))
+        return corrects(self, erased)
+    monkeypatch.setattr(ens, "SUPPORT_SIDE_CELLS", -1)  # the per-pattern side
+    monkeypatch.setattr(cd.UnitCode, "corrects", counted)
+    worst, witness, tested = ens.scan_patterns([(8, 3, 3)], codes, mode, 56 * 5, seed,
+                                               stop_at_failure=True)
+    assert worst and 1 < tested < len(order) and witness == order[tested - 1]
+    before = (tested - 1) * len(codes)
+    assert calls[:before] == [pat for pat in order[:tested - 1] for _ in codes]
+    assert calls[before:] == [witness] * len(codes)
 
 
 def draw_code(data, spec, k, n):
