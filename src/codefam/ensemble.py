@@ -8,6 +8,9 @@ sampling at the existence-lemma size, and a deterministic exhaustive
 search for tiny inner ensembles.  Every certificate is one pattern scan
 (`scan_patterns`), which tests patterns either against the codes' light
 codeword supports, in bulk, or one at a time with `UnitCode.corrects`.
+The supports are listed from every nonzero codeword (`_supports`): over
+GF(2) as a span of bit-packed rows, built by XOR, and over other fields
+as the product of the codeword lines with the generators.
 """
 
 from __future__ import annotations
@@ -119,34 +122,42 @@ def _pattern_count(axes) -> int:
 # `scan_patterns` tests codeword supports instead of checking each pattern
 # when every code has at most 64 cells (a support is one uint64) and its
 # codeword lines times its cells are at most this times the number of
-# codes.  The support side costs about lines x cells per code (one
-# `matmul` for all the codes) plus a vectorized test of each pattern
-# against every support; the per-pattern side one `UnitCode.corrects`
-# call (2-6 us over GF(2)) per pattern and code, and stops at a first
-# failure without paying for supports.  Measured, supports vs
-# per-pattern (2-core VM, Python 3.11.7, numpy 2.4.6, medians):
-#   families, t = 32, full scans: GF(2) n = 16 7 vs 120 ms, n = 20
-#     (2^14.3 per code) 50 vs 1,258 ms; GF(3) n = 16 33 vs 538 ms
-#   one random code, full scans: GF(2) [32, 9..12] over 4,960 patterns
-#     (2^14-2^17) 2.0-5.8 vs 11.5-12.5 ms, [32, 14] (2^19) 19.4 vs 12.9 ms
+# codes.  The support side lists every codeword of every code at once
+# (over GF(2) 2^dim packed words per code, elsewhere lines x cells in one
+# `matmul`) and tests each pattern against every light support; the
+# per-pattern side makes one `UnitCode.corrects` call (2-6 us over GF(2))
+# per pattern and code, and stops at a first failure without paying for
+# supports.  Measured, supports vs per-pattern (2-core VM, Python 3.11.7,
+# numpy 2.4.6, medians):
+#   families, t = 32, full scans: GF(2) n = 16 2.5 vs 112 ms, n = 20
+#     (2^14.3 per code) 45 vs 1,088 ms; GF(3) n = 16 33 vs 538 ms
+#   one random code, full scans: GF(2) [32, 9..14] over 4,960 patterns
+#     (2^14-2^19) 1.1-1.2 vs 9.4-10.5 ms, [32, 20] (2^25) 5.5 vs 10.8 ms
 #   single-code benchmark checks, first failure ends them: nearly-MDS
-#     (dim 12, 48 cells, 220 patterns, 2^17.6) 5.9 vs 0.86 ms
-# So a single code keeps the bound that leaves these checks per-pattern,
-# and a family's bound grows with its size: GF(2) families at t = 32 are
-# on the support side up to n = 28.  Off the benchmark, the per-pattern
-# side costs about 3-5 us per pattern on large exhaustive scans of one
-# code (improved nearly-MDS, 96 cells, 10,626 patterns: 148-173 ms;
-# random GF(2) [32, 16], 35,960 patterns: 119-174 ms), and a Monte Carlo
-# scan of a large family pays for its supports up front (GF(2) n = 28,
-# t = 32: 0.44 s for 200 draws, 0.66 s for 10^4).
+#     (dim 12, 48 cells, 220 patterns, 2^17.6) 0.21 vs 0.77 ms
+# The bound was set when GF(2) supports came from a `matmul` too (then
+# nearly-MDS 5.9 vs 0.86 ms), and still leaves single-code checks
+# per-pattern.  Since the packed listing the support side wins them over
+# GF(2) unless one fails early, which the bound cannot see: random
+# [48, 12..16] codes failing the first of those 220 patterns took
+# 3.1-9.9 ms on supports, 0.05-0.08 ms per-pattern.  A family's bound
+# grows with its size: GF(2) families at t = 32 are on the support side
+# up to n = 28.  Off the benchmark, the per-pattern side costs about 3-5
+# us per pattern on large exhaustive scans of one code (improved
+# nearly-MDS, 96 cells, 10,626 patterns: 148-173 ms; random GF(2)
+# [32, 16], 35,960 patterns: 119-174 ms), and a Monte Carlo scan of a
+# large family lists its supports before its first draw (GF(2) n = 28,
+# t = 32: 6.4 ms for 200 draws and 170 ms for 10^4, against 20 ms and
+# 1.0 s per-pattern).
 SUPPORT_SIDE_CELLS = 1 << 14
 
-# Codeword cells (lines x generators x cells) that one `matmul` of
-# `_supports` makes, support x pattern tests that one chunk of `_fails`
-# makes, and patterns in one run of `_scan_order`, whose erased-cell masks
-# the support side builds as one uint64 array: 128 KB arrays of 8-byte
-# items.  2^16 ran certify no faster (2-core VM, six 10 s runs) and raised
-# its peak RSS by about 1 MB.
+# Codewords that one chunk of `_supports` makes (over GF(2) packed words,
+# 2^dim per generator; otherwise cells, lines x generators x cells, of
+# one `matmul`), support x pattern tests that one chunk of `_fails`
+# makes, and patterns in one run of `_scan_order`, whose erased-cell
+# masks the support side builds as one uint64 array: 128 KB arrays of
+# 8-byte items.  2^16 ran certify no faster (2-core VM, six 10 s runs)
+# and raised its peak RSS by about 1 MB.
 MASK_CHUNK_CELLS = 1 << 14
 
 
@@ -154,20 +165,42 @@ def _supports(spec: FieldSpec, gens: np.ndarray, most: int):
     """(owners, supports): the supports, as cell bitmasks, of the nonzero
     codewords of weight at most `most` of every generator in `gens` (n x k
     x L, L <= 64), one codeword per line, each with the index of the
-    generator it comes from, in generator order.  The lines are multiplied
-    by a chunk of the generators at a time, stacked side by side."""
+    generator it comes from, grouped by generator in generator order.
+
+    Over GF(2) each row packs into one uint64 (bit c is cell c) and a
+    chunk of generators spans its 2^k codewords by doubling: those whose
+    first nonzero message entry is j are row j XOR the span of the rows
+    after it, one vectorized XOR per row for the whole chunk.  Over other
+    fields the lines of `_lines` are multiplied by a chunk of the
+    generators at a time, stacked side by side.  A G of lower rank than
+    its rows keeps its zero codewords, which the caller rejects.
+    """
     n, k, L = gens.shape
-    msgs = np.concatenate([np.zeros((0, k), dtype=np.int64), *_lines(spec.q, k)])  # k = 0: none
     bits = np.uint64(1) << np.arange(L, dtype=np.uint64)
     owners, supports = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.uint64)]
-    step = max(1, MASK_CHUNK_CELLS // max(1, len(msgs) * L))
-    for lo in range(0, n, step):
-        chunk = gens[lo:lo + step]
-        words = mx.matmul(spec, msgs, chunk.transpose(1, 0, 2).reshape(k, len(chunk) * L))
-        nonzero = words.reshape(len(msgs), len(chunk), L).transpose(1, 0, 2) != 0
-        code, line = np.nonzero(nonzero.sum(axis=2) <= most)
-        owners.append(code + lo)
-        supports.append(nonzero[code, line] @ bits)
+    if spec.q == 2:
+        rows = gens.astype(np.uint64) @ bits
+        step = max(1, MASK_CHUNK_CELLS >> k)
+        for lo in range(0, n, step):
+            chunk = rows[lo:lo + step]
+            words = np.zeros((len(chunk), 1 << k), dtype=np.uint64)
+            for j in range(k - 1, -1, -1):
+                size = 1 << (k - 1 - j)
+                np.bitwise_xor(words[:, :size], chunk[:, j, None], out=words[:, size:2 * size])
+            light = np.bitwise_count(words) <= most
+            light[:, 0] = False  # the zero message
+            owners.append(np.nonzero(light)[0] + lo)
+            supports.append(words[light])
+    else:
+        msgs = np.concatenate([np.zeros((0, k), dtype=np.int64), *_lines(spec.q, k)])  # k = 0: none
+        step = max(1, MASK_CHUNK_CELLS // max(1, len(msgs) * L))
+        for lo in range(0, n, step):
+            chunk = gens[lo:lo + step]
+            words = mx.matmul(spec, msgs, chunk.transpose(1, 0, 2).reshape(k, len(chunk) * L))
+            nonzero = words.reshape(len(msgs), len(chunk), L).transpose(1, 0, 2) != 0
+            code, line = np.nonzero(nonzero.sum(axis=2) <= most)
+            owners.append(code + lo)
+            supports.append(nonzero[code, line] @ bits)
     return np.concatenate(owners), np.concatenate(supports)
 
 
@@ -192,9 +225,9 @@ def _fails(owners, supports, kept: np.ndarray, ncodes: int) -> np.ndarray:
 def _on_supports(code: UnitCode, ncodes: int) -> bool:
     """Whether `scan_patterns` may test the codeword supports of this code,
     one of `ncodes`: a support fits a uint64, and its codeword lines x cells
-    are at most SUPPORT_SIDE_CELLS times `ncodes`, since one `matmul` finds
-    the supports of all the codes and each pattern is tested against all
-    of them at once."""
+    are at most SUPPORT_SIDE_CELLS times `ncodes`, since one `_supports`
+    listing finds the supports of all the codes and each pattern is tested
+    against all of them at once."""
     q, cells = code.spec.q, code.G.shape[1]
     return cells <= 64 and (q ** code.dim - 1) // (q - 1) * cells <= SUPPORT_SIDE_CELLS * ncodes
 

@@ -198,6 +198,40 @@ def test_support_side_matches_primal_oracle(scan, stop, chunk_cells, seed):
         assert got == want
 
 
+@st.composite
+def gf2_generators(draw):
+    """(gens, most): 1 to 3 random GF(2) k x L generators, k from 0 to 10
+    and L from 1 to 64 (63 and 64 often: the top bits of a uint64), some
+    with a row repeated so that a zero codeword is light."""
+    L = draw(st.one_of(st.sampled_from([63, 64]), st.integers(1, 64)))
+    k = draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gens = rng.integers(0, 2, (draw(st.integers(1, 3)), k, L))
+    if k > 1 and draw(st.booleans()):
+        gens[0, k - 1] = gens[0, draw(st.integers(0, k - 2))]
+    return gens, draw(st.integers(0, L))
+
+
+@settings(max_examples=120, deadline=None)
+@given(gf2_generators(), st.sampled_from([1, ens.MASK_CHUNK_CELLS]))
+def test_gf2_supports_match_codeword_oracle(case, chunk_cells):
+    """The packed GF(2) listing against the codewords of `_lines` times each
+    G (`mx.matmul`), with their weights and cell masks made here: the same
+    supports per generator, grouped in generator order, zero ones kept."""
+    gens, most = case
+    k = gens.shape[1]
+    msgs = np.concatenate(list(cd._lines(2, k))) if k else np.zeros((0, 0), dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ens, "MASK_CHUNK_CELLS", chunk_cells)
+        owners, supports = ens._supports(f2, gens, most)
+    assert (np.diff(owners) >= 0).all()
+    for i, G in enumerate(gens):
+        words = mx.matmul(f2, msgs, G)
+        want = sorted(sum(1 << int(c) for c in np.flatnonzero(w)) for w in words
+                      if np.count_nonzero(w) <= most)
+        assert sorted(map(int, supports[owners == i])) == want
+
+
 def test_full_rank_square_code_fails_every_nonempty_pattern():
     """n - dim = 0: H has no rows, so every nonempty erasure fails."""
     for spec in FIELDS:
@@ -231,10 +265,13 @@ def test_stopped_scan_builds_no_pattern_past_its_first_failure(monkeypatch):
 
 
 def test_rank_other_than_dim_is_rejected():
-    """On both sides, in both modes, whether or not the scan stops."""
-    C = cd.UnitCode(f2, np.array([[1, 1, 0]]), [1, 2, 4], dim=2)
-    for name, mode, stop in product(("supports", "per-pattern"), ("exhaustive", "montecarlo"),
-                                    (False, True)):
+    """On both sides, in both modes, whether or not the scan stops: a G
+    with fewer rows than dim, and one with dim rows, the same row twice
+    (the support side lists its zero codeword)."""
+    for G, name, mode, stop in product(([[1, 1, 0]], [[1, 1, 0], [1, 1, 0]]),
+                                       ("supports", "per-pattern"), ("exhaustive", "montecarlo"),
+                                       (False, True)):
+        C = cd.UnitCode(f2, np.array(G), [1, 2, 4], dim=2)
         with side(name), pytest.raises(cd.CodeError, match="rank 1, not dim = 2"):
             ens.scan_patterns([(3, 1, 1)], [C], mode, 5, 1 if mode == "montecarlo" else None,
                               stop_at_failure=stop)
